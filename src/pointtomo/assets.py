@@ -53,11 +53,6 @@ def load_matrix(path) -> np.ndarray:
         return parse_matrix_text(fh.read())
 
 
-def save_matrix(path, mat, header=()) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_matrix_text(mat, header))
-
-
 def _data_root():
     return resources.files(__package__) / "data"
 

@@ -1,8 +1,8 @@
 """Local pure-state maximum-likelihood estimation and related statistics.
 
 The estimator maximizes the multinomial log-likelihood over the local chart
-theta in C^(d-1) (2(d-1) real variables) with quasi-Newton ascent and
-numerical gradients, from several starts: the fiducial point, a linearized
+theta in C^(d-1) (2(d-1) real variables) with quasi-Newton ascent and the
+closed-form gradient, from several starts: the fiducial point, a linearized
 inversion of the observed frequencies, and random draws inside the trust
 region. The best likelihood wins; among numerically tied optima the point
 closest to the fiducial state is returned, which is the resolution
@@ -19,10 +19,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import DegenerateInput, InvalidInput
+from .fisher import PROBABILITY_FLOOR
 from .states import StateVector, fidelity, neighborhood_state, pure_probabilities
 from .validation import check_counts
-
-PROBABILITY_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -51,6 +50,7 @@ class MleResult:
     log_likelihood: float             # sum_w counts_w * log f(w|theta)
     n_candidates: int
     n_tied: int
+    converged: bool                   # optimizer success flag of the returned start
     ascent_traces: list | None = field(default=None, repr=False)
 
     @property
@@ -98,6 +98,30 @@ def _random_start(rng, m: int, radius: float) -> np.ndarray:
     return np.concatenate([t.real, t.imag])
 
 
+def _neg_log_likelihood(effects: np.ndarray, weights: np.ndarray):
+    """Objective x -> (value, gradient) of the negative mean log-likelihood.
+
+    x = (Re theta, Im theta). With v = (1, theta), z = conj(A) v and
+    s = |v|^2, the model is p_e = |z_e|^2 / s, so the gradient of -log p_e
+    is -2 (Re, -Im)(conj(z_e) conj(A_ej)) / (p_e s) + 2 x / s. Outcomes at
+    the probability floor contribute a constant to the value and nothing to
+    the gradient.
+    """
+    m = effects.shape[1] - 1
+    conj_effects = effects.conj()
+
+    def objective(x):
+        v = np.concatenate(([1.0 + 0.0j], x[:m] + 1j * x[m:]))
+        s = 1.0 + x @ x
+        p = np.maximum(pure_probabilities(effects, v / np.sqrt(s)), PROBABILITY_FLOOR)
+        w = np.where(p > PROBABILITY_FLOOR, weights, 0.0)
+        h = (w / p * (conj_effects @ v).conj()) @ conj_effects[:, 1:]
+        grad = (np.concatenate([-h.real, h.imag]) + w.sum() * x) * (2.0 / s)
+        return -float(weights @ np.log(p)), grad
+
+    return objective
+
+
 def estimate_theta(counts, povm, cfg: MleConfig = MleConfig(), trace: bool = False) -> MleResult:
     """Maximum-likelihood local parameters for observed counts.
 
@@ -109,11 +133,7 @@ def estimate_theta(counts, povm, cfg: MleConfig = MleConfig(), trace: bool = Fal
     total = counts.sum()
     weights = counts / total
     m = effects.shape[1] - 1
-
-    def objective(x):
-        th = x[:m] + 1j * x[m:]
-        p = pure_probabilities(effects, neighborhood_state(th).amps)
-        return -float(weights @ np.log(np.maximum(p, PROBABILITY_FLOOR)))
+    objective = _neg_log_likelihood(effects, weights)
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     x0s = [np.zeros(2 * m), np.clip(_linearized_theta(effects, weights),
@@ -126,23 +146,23 @@ def estimate_theta(counts, povm, cfg: MleConfig = MleConfig(), trace: bool = Fal
     traces = [] if trace else None
     for x0 in x0s:
         path = [] if trace else None
-        callback = (lambda xk, p=path: p.append(objective(xk))) if trace else None
-        res = minimize(objective, x0, method="L-BFGS-B", bounds=bounds,
+        callback = (lambda xk, p=path: p.append(objective(xk)[0])) if trace else None
+        res = minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=bounds,
                        options=options, callback=callback)
-        candidates.append((float(res.fun), res.x))
+        candidates.append((float(res.fun), res.x, bool(res.success)))
         if trace:
-            traces.append([objective(x0)] + path)
+            traces.append([objective(x0)[0]] + path)
 
-    best = min(f for f, _ in candidates)
+    best = min(f for f, _, _ in candidates)
     tie_tol = 50.0 * max(cfg.tolerance, 1e-14) * max(1.0, abs(best))
-    tied = [x for f, x in candidates if f <= best + tie_tol]
-    x_star = min(tied, key=lambda x: float(x @ x))
+    tied = [(x, ok) for f, x, ok in candidates if f <= best + tie_tol]
+    x_star, converged = min(tied, key=lambda t: float(t[0] @ t[0]))
     theta = x_star[:m] + 1j * x_star[m:]
     p = pure_probabilities(effects, neighborhood_state(theta).amps)
     loglik = float(counts @ np.log(np.maximum(p, PROBABILITY_FLOOR)))
     return MleResult(theta=theta, log_likelihood=loglik,
                      n_candidates=len(candidates), n_tied=len(tied),
-                     ascent_traces=traces)
+                     converged=converged, ascent_traces=traces)
 
 
 def estimate_state(counts, povm, cfg: MleConfig = MleConfig()) -> StateVector:

@@ -62,10 +62,6 @@ class Povm:
     def is_complete(self, tol: float = COMPLETENESS_TOL) -> bool:
         return self.completeness_deviation <= tol
 
-    def effect_matrices(self) -> np.ndarray:
-        """Dense rank-1 effect operators |a^eta><a^eta|, shape (n, d, d)."""
-        return np.einsum("ej,ek->ejk", self.effects, self.effects.conj())
-
 
 @dataclass(frozen=True)
 class MbsDevice:

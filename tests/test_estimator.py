@@ -3,8 +3,10 @@ import pytest
 
 from conftest import disk_theta
 from pointtomo.errors import DegenerateInput, InvalidInput
-from pointtomo.estimator import (MleConfig, PointTomographyMLE, bootstrap_infidelity,
-                                 estimate_state, estimate_theta, fit_power_law)
+from pointtomo.estimator import (MleConfig, PointTomographyMLE, _neg_log_likelihood,
+                                 bootstrap_infidelity, estimate_state, estimate_theta,
+                                 fit_power_law)
+from pointtomo.fisher import PROBABILITY_FLOOR
 from pointtomo.povm import Povm
 from pointtomo.states import (born_probabilities, depolarize, equal_deviation_state,
                               fidelity, fiducial_state, neighborhood_state,
@@ -15,6 +17,14 @@ TIGHT = MleConfig(starts=16, tolerance=1e-13)
 
 def exact_frequencies(povm, theta):
     return pure_probabilities(povm.effects, neighborhood_state(theta).amps)
+
+
+def central_differences(objective, x, h):
+    """Fourth-order central-difference gradient of ``objective(x)[0]``."""
+    def f(y):
+        return objective(y)[0]
+    return np.array([(8.0 * (f(x + h * e) - f(x - h * e)) - f(x + 2 * h * e) + f(x - 2 * h * e))
+                     / (12.0 * h) for e in np.eye(x.size)])
 
 
 class TestEstimateState:
@@ -56,6 +66,12 @@ class TestEstimateState:
             diffs = np.diff(path)
             assert np.all(diffs <= 1e-12)  # objective is the negative log-likelihood
 
+    def test_converged_on_exact_frequencies(self, family_povm):
+        rng = np.random.default_rng(777)
+        for _ in range(10):
+            freqs = exact_frequencies(family_povm, disk_theta(rng, 3, 0.3))
+            assert estimate_theta(freqs, family_povm, TIGHT).converged
+
     def test_all_zero_counts_rejected(self, family_povm):
         with pytest.raises(InvalidInput):
             estimate_state(np.zeros(7), family_povm)
@@ -63,6 +79,31 @@ class TestEstimateState:
     def test_wrong_length_rejected(self, family_povm):
         with pytest.raises(InvalidInput):
             estimate_state(np.ones(5), family_povm)
+
+
+class TestObjectiveGradient:
+    def test_matches_central_differences_in_chart_box(self, family_povm):
+        rng = np.random.default_rng(23)
+        bound = MleConfig().chart_bound
+        for _ in range(20):
+            objective = _neg_log_likelihood(family_povm.effects, rng.dirichlet(np.ones(7)))
+            x = rng.uniform(-bound, bound, 6)
+            grad = objective(x)[1]
+            assert np.max(np.abs(grad - central_differences(objective, x, 1e-5))) <= 1e-8
+
+    def test_floored_outcome_adds_no_slope(self, family_povm):
+        # theta on the null set of outcome 3: its probability is below the floor
+        a = family_povm.effects[3]
+        theta = -np.conj(a[0]) * a[1:] / np.vdot(a[1:], a[1:]).real
+        x = np.concatenate([theta.real, theta.imag])
+        h = 5e-7
+        for y in (x, *(x + 2 * h * e for e in np.eye(6)), *(x - 2 * h * e for e in np.eye(6))):
+            assert exact_frequencies(family_povm, y[:3] + 1j * y[3:])[3] < PROBABILITY_FLOOR
+        objective = _neg_log_likelihood(family_povm.effects,
+                                        np.random.default_rng(24).dirichlet(np.ones(7)))
+        grad = objective(x)[1]
+        assert np.all(np.isfinite(grad))
+        assert np.max(np.abs(grad - central_differences(objective, x, h))) <= 1e-8
 
 
 class TestBootstrap:
