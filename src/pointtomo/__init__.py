@@ -3,11 +3,12 @@ simulation, and local maximum-likelihood state estimation for qudits."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (ConsistencyError, DegenerateInput, InvalidInput,
                      NumericalError, PointTomoError, SweepError)
-from .estimator import (BootstrapResult, FitResult, MleConfig, PointTomographyMLE,
-                        bootstrap_infidelity, estimate_state, estimate_theta,
-                        fit_power_law)
+from .estimator import (BootstrapResult, FitResult, MleConfig, bootstrap_infidelity,
+                        estimate_state, estimate_theta, fit_power_law)
 from .fisher import (FisherBlocks, asymptotic_infidelity_coefficient, c_matrix,
                      c_norm, cfim_first_order, cfim_numeric, gill_massar_wmse,
                      gm_inequality_lhs, gm_optimal_cfim, gm_optimal_wmse, qfim_pure)
@@ -21,4 +22,6 @@ from .states import (DensityMatrix, StateVector, born_probabilities, depolarize,
                      equal_deviation_state, fiducial_state, fidelity,
                      neighborhood_state)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# submodules stay reachable as attributes but are not part of the star-import surface
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -14,19 +14,18 @@ import sys
 import numpy as np
 
 from . import __version__
-from .assets import format_matrix_text, load_matrix, seven_port_matrix
+from .assets import format_matrix_text
 from .errors import InvalidInput, PointTomoError
 from .estimator import MleConfig, bootstrap_infidelity, fit_power_law
 from .fisher import (asymptotic_infidelity_coefficient, c_matrix, c_norm,
                      cfim_first_order, gm_inequality_lhs, qfim_pure)
-from .io import (atomic_write_text, metadata_path_for, metadata_record,
-                 read_sweep_table, sweep_table_text, write_metadata)
+from .io import atomic_write_text, read_sweep_table, sweep_table_text, write_output
 from .plotting import sweep_plot_svg
-from .povm import (MbsDevice, PovmFamily, effects_from_family, enumerate_families,
-                   haar_mean_c_norm, load_mbs, optimize_phases)
+from .povm import (PovmFamily, effects_from_family, enumerate_families,
+                   haar_mean_c_norm, load_device, optimize_phases)
 from .simulate import (NoiseConfig, SweepConfig, config_hash,
                        expected_infidelity_floor, prepared_state, run_sweep,
-                       sample_counts, trial_rng)
+                       sample_counts, sweep_povm, trial_rng)
 from .states import born_probabilities, depolarize, equal_deviation_state
 
 
@@ -38,13 +37,8 @@ def _parse_floats(text: str) -> tuple:
     return tuple(float(tok) for tok in text.replace(" ", "").split(",") if tok)
 
 
-def _load_device(spec: str, reunitarize: bool) -> MbsDevice:
-    matrix = seven_port_matrix() if spec == "u7" else load_matrix(spec)
-    return load_mbs(matrix, reunitarize=reunitarize)
-
-
 def _family_povm(args):
-    device = _load_device(args.device, not args.raw_device)
+    device = load_device(args.device, not args.raw_device)
     phases = np.zeros(len(args.subset)) if args.phases is None else np.asarray(args.phases)
     family = PovmFamily(subset=args.subset, phases=phases)
     return device, effects_from_family(device, family)
@@ -62,7 +56,7 @@ def _add_device_args(p, subset_default="4,5,6,7"):
 
 
 def cmd_design(args) -> int:
-    device = _load_device(args.device, not args.raw_device)
+    device = load_device(args.device, not args.raw_device)
     dim = args.dim
     families = enumerate_families(device.n_ports, dim)
     rows = []
@@ -82,10 +76,8 @@ def cmd_design(args) -> int:
     winner = rows[0]
     sys.stdout.write(f"# winner: subset {winner[0]} with {args.norm} norm {winner[2]:.4f}\n")
     if args.out:
-        atomic_write_text(args.out, table)
-        write_metadata(metadata_record(config_hash(("design", args.device, dim, args.norm,
-                                                    args.starts, args.seed)), args.seed),
-                       metadata_path_for(args.out))
+        write_output(args.out, table, config_hash(("design", args.device, dim, args.norm,
+                                                   args.starts, args.seed)), args.seed)
     return 0
 
 
@@ -115,10 +107,8 @@ def cmd_fisher(args) -> int:
     text = "\n".join(out) + "\n"
     sys.stdout.write(text)
     if args.out:
-        atomic_write_text(args.out, text)
-        write_metadata(metadata_record(config_hash(("fisher", args.device, args.subset,
-                                                    args.norm, args.haar_baseline)),
-                                       args.seed), metadata_path_for(args.out))
+        write_output(args.out, text, config_hash(("fisher", args.device, args.subset,
+                                                  args.norm, args.haar_baseline)), args.seed)
     return 0
 
 
@@ -143,14 +133,12 @@ def cmd_simulate(args) -> int:
     result = run_sweep(cfg, workers=args.workers)
     table = sweep_table_text(result)
     if args.out:
-        atomic_write_text(args.out, table)
-        write_metadata(metadata_record(result.config_hash, result.seed,
-                                       extra={"rows": len(result.rows)}),
-                       metadata_path_for(args.out))
+        write_output(args.out, table, result.config_hash, result.seed,
+                     extra={"rows": len(result.rows)})
     else:
         sys.stdout.write(table)
     if args.plot:
-        _, povm = _family_povm(args)
+        povm = sweep_povm(cfg)
         rho = prepared_state(cfg, povm.dim)
         floor = expected_infidelity_floor(rho, povm)
         coef = asymptotic_infidelity_coefficient(povm)
@@ -174,11 +162,8 @@ def cmd_bootstrap(args) -> int:
     table = "\n".join(lines) + "\n"
     sys.stdout.write(table)
     if args.out:
-        atomic_write_text(args.out, table)
-        write_metadata(metadata_record(config_hash(("bootstrap", tuple(counts), args.boot)),
-                                       args.seed,
-                                       extra={"resampling": "empirical-frequencies"}),
-                       metadata_path_for(args.out))
+        write_output(args.out, table, config_hash(("bootstrap", tuple(counts), args.boot)),
+                     args.seed, extra={"resampling": "empirical-frequencies"})
     return 0
 
 

@@ -13,7 +13,7 @@ cannot distinguish all pure states globally).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -51,7 +51,6 @@ class MleResult:
     n_candidates: int
     n_tied: int
     converged: bool                   # optimizer success flag of the returned start
-    ascent_traces: list | None = field(default=None, repr=False)
 
     @property
     def state(self) -> StateVector:
@@ -122,7 +121,7 @@ def _neg_log_likelihood(effects: np.ndarray, weights: np.ndarray):
     return objective
 
 
-def estimate_theta(counts, povm, cfg: MleConfig = MleConfig(), trace: bool = False) -> MleResult:
+def estimate_theta(counts, povm, cfg: MleConfig = MleConfig()) -> MleResult:
     """Maximum-likelihood local parameters for observed counts.
 
     ``counts`` may be integer counts or exact real frequencies. The result
@@ -143,15 +142,10 @@ def estimate_theta(counts, povm, cfg: MleConfig = MleConfig(), trace: bool = Fal
     bounds = [(-cfg.chart_bound, cfg.chart_bound)] * (2 * m)
     options = {"ftol": cfg.tolerance, "gtol": 1e-10, "maxiter": cfg.max_iterations}
     candidates = []
-    traces = [] if trace else None
     for x0 in x0s:
-        path = [] if trace else None
-        callback = (lambda xk, p=path: p.append(objective(xk)[0])) if trace else None
         res = minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-                       options=options, callback=callback)
+                       options=options)
         candidates.append((float(res.fun), res.x, bool(res.success)))
-        if trace:
-            traces.append([objective(x0)[0]] + path)
 
     best = min(f for f, _, _ in candidates)
     tie_tol = 50.0 * max(cfg.tolerance, 1e-14) * max(1.0, abs(best))
@@ -162,7 +156,7 @@ def estimate_theta(counts, povm, cfg: MleConfig = MleConfig(), trace: bool = Fal
     loglik = float(counts @ np.log(np.maximum(p, PROBABILITY_FLOOR)))
     return MleResult(theta=theta, log_likelihood=loglik,
                      n_candidates=len(candidates), n_tied=len(tied),
-                     converged=converged, ascent_traces=traces)
+                     converged=converged)
 
 
 def estimate_state(counts, povm, cfg: MleConfig = MleConfig()) -> StateVector:
@@ -239,59 +233,3 @@ def fit_power_law(points) -> FitResult:
     resid = np.log(y) - (intercept + slope * np.log(n))
     return FitResult(coefficient=float(np.exp(intercept)), exponent=float(slope),
                      residual=float(np.sqrt(np.mean(resid ** 2))))
-
-
-class PointTomographyMLE:
-    """Scikit-learn style wrapper around the local MLE.
-
-    Parameters mirror :class:`MleConfig`; ``fit`` takes a count (or exact
-    frequency) vector with one entry per POVM outcome and exposes the fitted
-    ``theta_``, ``state_`` and ``log_likelihood_``.
-    """
-
-    _param_names = ("povm", "max_iterations", "tolerance", "starts",
-                    "start_radius", "chart_bound", "seed")
-
-    def __init__(self, povm, max_iterations: int = 500, tolerance: float = 1e-10,
-                 starts: int = 8, start_radius: float = 0.3,
-                 chart_bound: float = 0.6, seed: int = 0):
-        self.povm = povm
-        self.max_iterations = max_iterations
-        self.tolerance = tolerance
-        self.starts = starts
-        self.start_radius = start_radius
-        self.chart_bound = chart_bound
-        self.seed = seed
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names}
-
-    def set_params(self, **params):
-        for name, value in params.items():
-            if name not in self._param_names:
-                raise InvalidInput(f"unknown parameter {name!r}")
-            setattr(self, name, value)
-        return self
-
-    def _config(self) -> MleConfig:
-        return MleConfig(max_iterations=self.max_iterations, tolerance=self.tolerance,
-                         starts=self.starts, start_radius=self.start_radius,
-                         chart_bound=self.chart_bound, seed=self.seed)
-
-    def fit(self, X, y=None):
-        result = estimate_theta(X, self.povm, self._config())
-        self.theta_ = result.theta
-        self.state_ = result.state
-        self.log_likelihood_ = result.log_likelihood
-        self.n_tied_ = result.n_tied
-        return self
-
-    def probabilities(self) -> np.ndarray:
-        """Model outcome probabilities at the fitted state."""
-        return pure_probabilities(self.povm.effects, self.state_.amps)
-
-    def score(self, X, y=None) -> float:
-        """Average per-copy log-likelihood of counts ``X`` under the fitted state."""
-        counts = check_counts(X, self.povm.n_outcomes)
-        p = np.maximum(self.probabilities(), PROBABILITY_FLOOR)
-        return float((counts / counts.sum()) @ np.log(p))

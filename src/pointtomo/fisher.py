@@ -110,30 +110,20 @@ def qfim_pure(theta, dim: int | None = None) -> FisherBlocks:
     return FisherBlocks(jblk, qblk)
 
 
-def _require_gauged_complete(povm):
+def c_matrix(povm) -> np.ndarray:
+    """Gauge-fixed coefficient Gram matrix C_jk = sum_eta a_j^eta a_k^eta (j,k >= 1)."""
     if povm.completeness_deviation > COMPLETENESS_TOL:
         raise InvalidInput(
             f"POVM completeness deviates by {povm.completeness_deviation:.3e} "
             f"(> {COMPLETENESS_TOL}); re-unitarize the device or fix the effects"
         )
-    lead = povm.effects[:, 0]
-    if np.max(np.abs(lead.imag)) > 1e-9 or lead.real.min() < -1e-9:
-        raise InvalidInput("POVM effects are not phase-fixed (leading coefficients must be real nonnegative)")
-
-
-def c_matrix(povm) -> np.ndarray:
-    """Gauge-fixed coefficient Gram matrix C_jk = sum_eta a_j^eta a_k^eta (j,k >= 1)."""
-    _require_gauged_complete(povm)
     block = povm.effects[:, 1:]           # (n_outcomes, d-1)
     return block.T @ block
 
 
 def c_norm(povm, kind: str = "spectral") -> float:
     """Norm of the C matrix; ``spectral`` (largest singular value) or ``frobenius``."""
-    if kind not in NORM_KINDS:
-        raise InvalidInput(f"norm kind must be one of {NORM_KINDS}, got {kind!r}")
-    c = c_matrix(povm)
-    return float(np.linalg.norm(c, 2 if kind == "spectral" else "fro"))
+    return matrix_norm(c_matrix(povm), kind)
 
 
 def matrix_norm(mat: np.ndarray, kind: str = "spectral") -> float:

@@ -13,6 +13,7 @@ import tempfile
 from datetime import datetime, timezone
 
 import numpy as np
+import scipy
 
 from .errors import InvalidInput
 from .simulate import SweepResult
@@ -46,10 +47,6 @@ def sweep_table_text(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_sweep_table(result: SweepResult, path: str) -> None:
-    atomic_write_text(path, sweep_table_text(result))
-
-
 def read_sweep_table(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
@@ -69,7 +66,8 @@ def metadata_record(config_digest: str, seed: int, extra: dict | None = None,
     record = {
         "config_hash": config_digest,
         "seed": seed,
-        "versions": {"pointtomo": __version__, "numpy": np.__version__},
+        "versions": {"pointtomo": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__},
     }
     if extra:
         record.update(extra)
@@ -78,10 +76,10 @@ def metadata_record(config_digest: str, seed: int, extra: dict | None = None,
     return record
 
 
-def write_metadata(record: dict, path: str) -> None:
-    atomic_write_text(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
-
-
-def metadata_path_for(table_path: str) -> str:
-    base, _ = os.path.splitext(table_path)
-    return base + ".meta.json"
+def write_output(path: str, text: str, config_digest: str, seed: int,
+                 extra: dict | None = None) -> None:
+    """Write ``text`` to ``path`` and its ``.meta.json`` sidecar, each atomically."""
+    atomic_write_text(path, text)
+    record = metadata_record(config_digest, seed, extra)
+    atomic_write_text(os.path.splitext(path)[0] + ".meta.json",
+                      json.dumps(record, indent=2, sort_keys=True) + "\n")

@@ -21,8 +21,9 @@ import numpy as np
 from scipy.linalg import polar
 from scipy.optimize import minimize
 
+from .assets import load_matrix, seven_port_matrix
 from .errors import DegenerateInput, InvalidInput
-from .fisher import COMPLETENESS_TOL, c_norm, matrix_norm
+from .fisher import COMPLETENESS_TOL, matrix_norm
 from .validation import check_square_matrix
 
 GAUGE_FLOOR = 1e-12
@@ -116,6 +117,11 @@ def load_mbs(matrix, reunitarize: bool = True) -> MbsDevice:
     distance = float(np.linalg.norm(u - w, 2))
     return MbsDevice(u=w, unitarity_deviation=deviation, reunitarized=True,
                      replacement_distance=distance)
+
+
+def load_device(spec: str, reunitarize: bool) -> MbsDevice:
+    """Load a device: ``"u7"`` for the shipped 7-port matrix, else a matrix text file."""
+    return load_mbs(seven_port_matrix() if spec == "u7" else load_matrix(spec), reunitarize)
 
 
 def enumerate_families(n_ports: int, dim: int) -> list:
@@ -230,23 +236,18 @@ def haar_random_povm(dim: int, n_outcomes: int, rng) -> Povm:
 
 
 def haar_mean_c_norm(dim: int, n_outcomes: int, samples: int, rng,
-                     kind: str = "spectral", gauge_fixed: bool = False):
+                     kind: str = "spectral"):
     """Monte Carlo mean and standard error of the C norm over Haar POVMs.
 
-    By default the norm is evaluated on the raw Haar coefficient rows, i.e.
-    before the leading-coefficient phase gauge is applied; this is the
-    published baseline convention for random measurements. With
-    ``gauge_fixed=True`` the statistic is ``c_norm`` of the gauged POVM
-    instead (a larger number for the same ensemble).
+    The norm is evaluated on the raw Haar coefficient rows, i.e. before the
+    leading-coefficient phase gauge is applied; this is the published
+    baseline convention for random measurements.
     """
     if samples < 100:
         raise InvalidInput("need at least 100 samples for a stable baseline")
     vals = np.empty(samples)
     for i in range(samples):
         u = haar_random_unitary(n_outcomes, rng)
-        if gauge_fixed:
-            vals[i] = c_norm(Povm(gauge_fix_effects(u[:, :dim])), kind)
-        else:
-            block = u[:, 1:dim]
-            vals[i] = matrix_norm(block.T @ block, kind)
+        block = u[:, 1:dim]
+        vals[i] = matrix_norm(block.T @ block, kind)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples))

@@ -12,14 +12,16 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import expm
 
 from .errors import InvalidInput, SweepError
 from .estimator import BootstrapResult, MleConfig, bootstrap_infidelity, estimate_state
-from .povm import Povm, gauge_fix_effects
+from .povm import Povm, PovmFamily, effects_from_family, gauge_fix_effects, load_device
 from .states import (DensityMatrix, StateVector, born_probabilities, depolarize,
                      equal_deviation_state, fiducial_state, fidelity)
 from .validation import check_in_range, check_probability_vector
@@ -158,27 +160,31 @@ def perturb_effects(povm: Povm, epsilon: float, rng) -> Povm:
 
 
 def run_trial(state: DensityMatrix, povm: Povm, n: int, rng,
-              mle: MleConfig = MleConfig()) -> TrialResult:
-    """Sample counts from the true state, estimate, and score the infidelity."""
+              mle: MleConfig = MleConfig(), n_boot: int = 0,
+              boot_rng=None) -> TrialResult:
+    """Sample counts from the true state, estimate, and score the infidelity.
+
+    With ``n_boot`` > 0 the infidelity spread is also bootstrapped, drawing
+    the replicas from ``boot_rng``.
+    """
     probs = born_probabilities(povm, state)
     counts = sample_counts(probs, n, rng)
     if n == 0:
-        estimate = fiducial_state(povm.dim)
+        estimate, boot = fiducial_state(povm.dim), None
     else:
         try:
             estimate = estimate_state(counts, povm, mle)
+            boot = (bootstrap_infidelity(counts, povm, state, n_boot, boot_rng, mle)
+                    if n_boot > 0 else None)
         except Exception as exc:
             raise type(exc)(f"trial with N={n} failed: {exc}") from exc
     return TrialResult(n=n, counts=counts, estimate=estimate,
-                       infidelity=1.0 - fidelity(estimate, state))
+                       infidelity=1.0 - fidelity(estimate, state), bootstrap=boot)
 
 
-def _resolve_povm(cfg: SweepConfig) -> Povm:
-    from .assets import load_matrix, seven_port_matrix
-    from .povm import PovmFamily, effects_from_family, load_mbs
-
-    matrix = seven_port_matrix() if cfg.device == "u7" else load_matrix(cfg.device)
-    mbs = load_mbs(matrix, reunitarize=cfg.reunitarize)
+def sweep_povm(cfg: SweepConfig) -> Povm:
+    """Measurement of the sweep, before any systematic misalignment."""
+    mbs = load_device(cfg.device, cfg.reunitarize)
     phases = np.zeros(len(cfg.subset)) if cfg.phases is None else np.asarray(cfg.phases)
     return effects_from_family(mbs, PovmFamily(subset=cfg.subset, phases=phases))
 
@@ -188,30 +194,13 @@ def prepared_state(cfg: SweepConfig, dim: int) -> DensityMatrix:
     return depolarize(equal_deviation_state(cfg.theta_scalar, dim), cfg.noise.lam)
 
 
-def _sweep_payloads(cfg: SweepConfig, povm: Povm, rho: DensityMatrix):
-    probs = born_probabilities(povm, rho)
-    for i, n in enumerate(cfg.n_grid):
-        for t in range(cfg.repetitions):
-            yield (i, n, t, probs, povm.effects, rho.mat, cfg.seed, cfg.n_boot, cfg.mle)
-
-
-def _run_one(payload):
-    (i, n, t, probs, effects, rho_mat, seed, n_boot, mle) = payload
-    povm = Povm(effects)
-    rho = DensityMatrix(rho_mat)
-    rng = trial_rng(seed, i, t)
-    counts = sample_counts(probs, n, rng)
-    if n == 0:
-        est = fiducial_state(povm.dim)
-    else:
-        est = estimate_state(counts, povm, mle)
-    infid = 1.0 - fidelity(est, rho)
-    boot = (np.nan,) * 5
-    if n_boot > 0 and n > 0:
-        res = bootstrap_infidelity(counts, povm, rho, n_boot,
-                                   trial_rng(seed, i, t, stream=1), mle)
-        boot = res.as_row()
-    return (i, t, (float(n), float(t), infid) + boot)
+def _sweep_row(povm: Povm, rho: DensityMatrix, cfg: SweepConfig, item) -> tuple:
+    """Table row of trial ``t`` at grid index ``i`` (ensemble size ``n``)."""
+    i, n, t = item
+    trial = run_trial(rho, povm, n, trial_rng(cfg.seed, i, t), cfg.mle, cfg.n_boot,
+                      trial_rng(cfg.seed, i, t, stream=1))
+    boot = (np.nan,) * 5 if trial.bootstrap is None else trial.bootstrap.as_row()
+    return (float(n), float(t), trial.infidelity) + boot
 
 
 def run_sweep(cfg: SweepConfig, povm: Povm | None = None, workers: int = 1) -> SweepResult:
@@ -222,29 +211,25 @@ def run_sweep(cfg: SweepConfig, povm: Povm | None = None, workers: int = 1) -> S
     the partial result flagged as such.
     """
     if povm is None:
-        povm = _resolve_povm(cfg)
+        povm = sweep_povm(cfg)
     rho = prepared_state(cfg, povm.dim)
     if cfg.noise.systematic_epsilon > 0:
         povm = perturb_effects(povm, cfg.noise.systematic_epsilon,
                                np.random.default_rng(np.random.SeedSequence(cfg.noise.seed)))
-    payloads = list(_sweep_payloads(cfg, povm, rho))
-    results = {}
+    # the built POVM and state travel to the workers once per chunk, unvalidated
+    row_of = partial(_sweep_row, povm, rho, cfg)
+    items = [(i, n, t) for i, n in enumerate(cfg.n_grid) for t in range(cfg.repetitions)]
+    rows = []
     digest = config_hash(cfg)
     try:
-        if workers and workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for i, t, row in pool.map(_run_one, payloads, chunksize=8):
-                    results[(i, t)] = row
-        else:
-            for payload in payloads:
-                i, t, row = _run_one(payload)
-                results[(i, t)] = row
+        with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+            for row in pool.map(row_of, items, chunksize=8) if pool else map(row_of, items):
+                rows.append(row)
     except Exception as exc:
-        partial = SweepResult(rows=tuple(results[k] for k in sorted(results)),
-                              config_hash=digest, seed=cfg.seed, partial=True)
-        raise SweepError(f"sweep aborted: {exc}", partial=partial) from exc
-    rows = tuple(results[k] for k in sorted(results))
-    return SweepResult(rows=rows, config_hash=digest, seed=cfg.seed)
+        partial_result = SweepResult(rows=tuple(rows), config_hash=digest, seed=cfg.seed,
+                                     partial=True)
+        raise SweepError(f"sweep aborted: {exc}", partial=partial_result) from exc
+    return SweepResult(rows=tuple(rows), config_hash=digest, seed=cfg.seed)
 
 
 def expected_infidelity_floor(rho: DensityMatrix, povm: Povm,

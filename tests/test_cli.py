@@ -30,6 +30,7 @@ class TestSimulateCommand:
         assert meta["seed"] == 9
         assert len(meta["config_hash"]) == 64
         assert "timestamp" in meta and "versions" in meta
+        assert set(meta["versions"]) == {"pointtomo", "numpy", "scipy"}
 
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

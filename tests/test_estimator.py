@@ -3,9 +3,8 @@ import pytest
 
 from conftest import disk_theta
 from pointtomo.errors import DegenerateInput, InvalidInput
-from pointtomo.estimator import (MleConfig, PointTomographyMLE, _neg_log_likelihood,
-                                 bootstrap_infidelity, estimate_state, estimate_theta,
-                                 fit_power_law)
+from pointtomo.estimator import (MleConfig, _neg_log_likelihood, bootstrap_infidelity,
+                                 estimate_state, estimate_theta, fit_power_law)
 from pointtomo.fisher import PROBABILITY_FLOOR
 from pointtomo.povm import Povm
 from pointtomo.states import (born_probabilities, depolarize, equal_deviation_state,
@@ -57,14 +56,6 @@ class TestEstimateState:
         est_b = estimate_state(counts[perm], permuted_povm, TIGHT)
         overlap = np.abs(np.vdot(est_a.amps, est_b.amps)) ** 2
         assert overlap == pytest.approx(1.0, abs=1e-9)
-
-    def test_monotone_ascent_per_start(self, family_povm):
-        rng = np.random.default_rng(14)
-        counts = rng.multinomial(500, exact_frequencies(family_povm, disk_theta(rng, 3, 0.2)))
-        result = estimate_theta(counts, family_povm, trace=True)
-        for path in result.ascent_traces:
-            diffs = np.diff(path)
-            assert np.all(diffs <= 1e-12)  # objective is the negative log-likelihood
 
     def test_converged_on_exact_frequencies(self, family_povm):
         rng = np.random.default_rng(777)
@@ -197,25 +188,3 @@ class TestFitPowerLaw:
         with pytest.warns(UserWarning):
             with pytest.raises(DegenerateInput):
                 fit_power_law(np.array([[10, 0.1], [100, 0.0]]))
-
-
-class TestEstimatorApi:
-    def test_params_roundtrip(self, family_povm):
-        est = PointTomographyMLE(family_povm, starts=4, seed=3)
-        params = est.get_params()
-        clone = PointTomographyMLE(**params)
-        assert clone.get_params() == params
-        est.set_params(starts=6)
-        assert est.starts == 6
-        with pytest.raises(InvalidInput):
-            est.set_params(unknown=1)
-
-    def test_fit_sets_attributes(self, family_povm):
-        rng = np.random.default_rng(22)
-        counts = rng.multinomial(3000, exact_frequencies(family_povm, disk_theta(rng, 3, 0.1)))
-        est = PointTomographyMLE(family_povm, starts=4).fit(counts)
-        assert est.theta_.shape == (3,)
-        assert abs(np.linalg.norm(est.state_.amps) - 1.0) < 1e-12
-        assert np.isfinite(est.log_likelihood_)
-        assert est.probabilities().sum() == pytest.approx(1.0, abs=1e-10)
-        assert est.score(counts) <= 0.0

@@ -7,9 +7,9 @@ from pointtomo.estimator import MleConfig
 from pointtomo.fisher import c_norm
 from pointtomo.io import sweep_table_text
 from pointtomo.simulate import (NoiseConfig, SweepConfig, expected_infidelity_floor,
-                                perturb_effects, run_sweep, run_trial, sample_counts,
-                                trial_rng)
-from pointtomo.states import (depolarize, equal_deviation_state, fidelity,
+                                perturb_effects, prepared_state, run_sweep, run_trial,
+                                sample_counts, trial_rng)
+from pointtomo.states import (DensityMatrix, depolarize, equal_deviation_state, fidelity,
                               fiducial_state)
 
 
@@ -176,6 +176,38 @@ class TestRunSweep:
         t_base = run_sweep(base, povm=family_povm).as_array()[:, 2]
         t_bent = run_sweep(bent, povm=family_povm).as_array()[:, 2]
         assert not np.allclose(t_base, t_bent)
+
+    def test_rows_are_run_trial_results(self, family_povm):
+        cfg = SweepConfig(theta_scalar=0.2, n_grid=(300, 3000), repetitions=2,
+                          noise=NoiseConfig(lam=0.987), seed=11, n_boot=10,
+                          mle=MleConfig(starts=2))
+        rho = prepared_state(cfg, family_povm.dim)
+        expected = []
+        for i, n in enumerate(cfg.n_grid):
+            for t in range(cfg.repetitions):
+                trial = run_trial(rho, family_povm, n, trial_rng(cfg.seed, i, t), cfg.mle,
+                                  cfg.n_boot, trial_rng(cfg.seed, i, t, stream=1))
+                expected.append((float(n), float(t), trial.infidelity)
+                                + trial.bootstrap.as_row())
+        assert run_sweep(cfg, povm=family_povm).rows == tuple(expected)
+
+    def test_state_is_built_once_per_sweep(self, family_povm, monkeypatch):
+        built = []
+        original = DensityMatrix.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+        per_sweep = []
+        for reps in (1, 4):
+            built.clear()
+            cfg = SweepConfig(theta_scalar=0.01, n_grid=(100,), repetitions=reps, seed=3,
+                              mle=MleConfig(starts=1))
+            run_sweep(cfg, povm=family_povm, workers=1)
+            per_sweep.append(len(built))
+        assert per_sweep[0] == per_sweep[1]
 
     def test_config_validation(self):
         with pytest.raises(InvalidInput):
