@@ -21,8 +21,8 @@ from .fisher import (asymptotic_infidelity_coefficient, c_matrix, c_norm,
                      cfim_first_order, gm_inequality_lhs, qfim_pure)
 from .io import atomic_write_text, read_sweep_table, sweep_table_text, write_output
 from .plotting import sweep_plot_svg
-from .povm import (PovmFamily, effects_from_family, enumerate_families,
-                   haar_mean_c_norm, load_device, optimize_phases)
+from .povm import (effects_from_family, enumerate_families, haar_mean_c_norm,
+                   load_device, optimize_phases)
 from .simulate import (NoiseConfig, SweepConfig, config_hash,
                        expected_infidelity_floor, prepared_state, run_sweep,
                        sample_counts, sweep_povm, trial_rng)
@@ -39,17 +39,19 @@ def _parse_floats(text: str) -> tuple:
 
 def _family_povm(args):
     device = load_device(args.device, not args.raw_device)
-    phases = np.zeros(len(args.subset)) if args.phases is None else np.asarray(args.phases)
-    family = PovmFamily(subset=args.subset, phases=phases)
-    return device, effects_from_family(device, family)
+    return device, effects_from_family(device, args.subset, args.phases)
 
 
-def _add_device_args(p, subset_default="4,5,6,7"):
+def _add_device_args(p):
     p.add_argument("--device", default="u7",
                    help="device matrix: 'u7' for the builtin asset or a text file path")
     p.add_argument("--raw-device", action="store_true",
                    help="keep the raw matrix instead of projecting to the nearest unitary")
-    p.add_argument("--subset", type=_parse_ints, default=_parse_ints(subset_default),
+
+
+def _add_family_args(p):
+    _add_device_args(p)
+    p.add_argument("--subset", type=_parse_ints, default=(4, 5, 6, 7),
                    help="connected input ports, comma separated (1-based)")
     p.add_argument("--phases", type=_parse_floats, default=None,
                    help="input phases in radians (first must be 0); default all zero")
@@ -211,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("design", help="rank all input families of a device by C norm")
-    p.add_argument("--device", default="u7")
-    p.add_argument("--raw-device", action="store_true")
+    _add_device_args(p)
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--norm", choices=["spectral", "frobenius"], default="spectral")
     p.add_argument("--starts", type=int, default=32)
@@ -221,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("fisher", help="information matrices and C norm of one family")
-    _add_device_args(p)
+    _add_family_args(p)
     p.add_argument("--norm", choices=["spectral", "frobenius"], default="spectral")
     p.add_argument("--optimize-phases", action="store_true")
     p.add_argument("--haar-baseline", type=int, default=0, metavar="SAMPLES")
@@ -229,15 +230,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_fisher)
 
-    def add_sim_args(p, seed_required=True):
-        _add_device_args(p)
+    def add_sim_args(p):
+        _add_family_args(p)
         p.add_argument("--theta", type=float, required=True,
                        help="deviation scalar of the prepared state")
         p.add_argument("--lambda", dest="lam", type=float, default=1.0,
                        help="depolarizing weight of the preparation (1 = noiseless)")
         p.add_argument("--epsilon", type=float, default=0.0,
                        help="systematic misalignment strength (0 disables)")
-        p.add_argument("--seed", type=int, required=seed_required)
+        p.add_argument("--seed", type=int, required=True)
         p.add_argument("--boot", type=int, default=0, help="bootstrap replicas per trial")
         p.add_argument("--mle-starts", type=int, default=8)
 

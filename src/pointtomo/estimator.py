@@ -69,9 +69,6 @@ class FitResult:
         if self.residual < 0:
             raise InvalidInput("residual must be nonnegative")
 
-    def value(self, n) -> np.ndarray:
-        return self.coefficient * np.asarray(n, dtype=float) ** self.exponent
-
 
 def _linearized_theta(effects: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """First-order inversion of the Born probabilities around the fiducial.

@@ -12,7 +12,11 @@ Conventions, fixed once for the whole library:
   real-gauged leading coefficients are I = identity and P = conj(C);
 * C is the gauge-fixed coefficient Gram matrix without conjugation,
   C_jk = sum_eta a_j^eta a_k^eta for j, k >= 1, whose norm measures the
-  distance of the measurement from Fisher symmetry.
+  distance of the measurement from Fisher symmetry;
+* the quantum blocks of the pure chart state at theta have the closed form
+  J = (2/s) (I - conj(theta) theta^T / s) with s = 1 + |theta|^2, and Q
+  vanishes on this chart, because the antiholomorphic derivative of the
+  normalized state is parallel to the state itself.
 """
 
 from __future__ import annotations
@@ -72,42 +76,22 @@ class FisherBlocks:
         return np.vstack([top, bottom])
 
 
-def _chart_derivatives(theta: np.ndarray):
-    """Holomorphic/antiholomorphic derivative kets of the chart state."""
-    v = np.concatenate(([1.0 + 0.0j], theta))
-    nsq = float(np.real(np.vdot(v, v)))
-    n = np.sqrt(nsq)
-    holo = []   # d|psi>/d theta_a
-    anti = []   # d|psi>/d conj(theta_a)
-    for a, t in enumerate(theta):
-        e = np.zeros(v.size, dtype=complex)
-        e[a + 1] = 1.0
-        holo.append(e / n - v * (np.conj(t) / (2.0 * n * nsq)))
-        anti.append(-v * (t / (2.0 * n * nsq)))
-    return v / n, holo, anti
-
-
 def qfim_pure(theta, dim: int | None = None) -> FisherBlocks:
     """Quantum Fisher information blocks of the pure chart state at ``theta``.
 
-    At theta = 0 this is J = 2 * identity, Q = 0.
+    The closed form of the module docstring; at theta = 0 this is
+    J = 2 * identity, Q = 0.
     """
     theta = check_local_parameters(theta, dim)
-    psi, holo, anti = _chart_derivatives(theta)
-    proj = np.eye(psi.size) - np.outer(psi, psi.conj())
-    m = theta.size
-    jblk = np.empty((m, m), dtype=complex)
-    qblk = np.empty((m, m), dtype=complex)
-    for j in range(m):
-        for k in range(m):
-            jblk[j, k] = 2.0 * (holo[k].conj() @ proj @ holo[j]
-                                + anti[j].conj() @ proj @ anti[k])
-            qblk[j, k] = 2.0 * (anti[k].conj() @ proj @ holo[j]
-                                + anti[j].conj() @ proj @ holo[k])
-    # scrub rounding residue off the structural symmetries
-    jblk = 0.5 * (jblk + jblk.conj().T)
-    qblk = 0.5 * (qblk + qblk.T)
-    return FisherBlocks(jblk, qblk)
+    s = 1.0 + float(np.real(np.vdot(theta, theta)))
+    jblk = (2.0 / s) * (np.eye(theta.size) - np.outer(theta.conj(), theta) / s)
+    return FisherBlocks(jblk, np.zeros_like(jblk))
+
+
+def _c_gram(rows: np.ndarray) -> np.ndarray:
+    """C_jk = sum_eta a_j^eta a_k^eta (j, k >= 1) of coefficient rows, unconjugated."""
+    block = rows[:, 1:]                   # (n_outcomes, d-1)
+    return block.T @ block
 
 
 def c_matrix(povm) -> np.ndarray:
@@ -117,8 +101,7 @@ def c_matrix(povm) -> np.ndarray:
             f"POVM completeness deviates by {povm.completeness_deviation:.3e} "
             f"(> {COMPLETENESS_TOL}); re-unitarize the device or fix the effects"
         )
-    block = povm.effects[:, 1:]           # (n_outcomes, d-1)
-    return block.T @ block
+    return _c_gram(povm.effects)
 
 
 def c_norm(povm, kind: str = "spectral") -> float:

@@ -52,8 +52,19 @@ def read_sweep_table(path: str) -> np.ndarray:
         header = fh.readline().strip().split(",")
         if tuple(header) != SweepResult.COLUMNS:
             raise InvalidInput(f"unexpected table header {header}")
-        rows = [[float(tok) for tok in line.strip().split(",")]
-                for line in fh if line.strip()]
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                row = [float(tok) for tok in text.split(",")]
+            except ValueError:
+                row = []
+            if len(row) != len(header):
+                raise InvalidInput(f"line {lineno} of {path}: expected {len(header)} numeric "
+                                   f"fields, got {text!r}")
+            rows.append(row)
     if not rows:
         raise InvalidInput("table has no data rows")
     return np.asarray(rows, dtype=float)

@@ -23,11 +23,12 @@ from scipy.optimize import minimize
 
 from .assets import load_matrix, seven_port_matrix
 from .errors import DegenerateInput, InvalidInput
-from .fisher import COMPLETENESS_TOL, matrix_norm
+from .fisher import COMPLETENESS_TOL, _c_gram, matrix_norm
 from .validation import check_square_matrix
 
 GAUGE_FLOOR = 1e-12
-STRICT_COMPLETENESS_TOL = 1e-10
+PHASE_TOL = 1e-8          # Nelder-Mead xatol and fatol of the phase search
+PHASE_MAXITER = 2000
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,8 @@ class Povm:
     def n_outcomes(self) -> int:
         return self.effects.shape[0]
 
-    def is_complete(self, tol: float = COMPLETENESS_TOL) -> bool:
-        return self.completeness_deviation <= tol
+    def is_complete(self) -> bool:
+        return self.completeness_deviation <= COMPLETENESS_TOL
 
 
 @dataclass(frozen=True)
@@ -135,19 +136,14 @@ def gauge_fix_effects(raw: np.ndarray) -> np.ndarray:
     """Rotate each effect's global phase so its anchor coefficient is real >= 0.
 
     The anchor is the leading coefficient, or the first coefficient of
-    magnitude above 1e-12 when the leading one vanishes; all-zero effects
-    are left untouched.
+    magnitude above 1e-12 when the leading one vanishes; effects with no
+    coefficient above 1e-12 are left untouched.
     """
     fixed = np.array(raw, dtype=complex)
-    for eta in range(fixed.shape[0]):
-        row = fixed[eta]
-        anchor = row[0]
-        if abs(anchor) <= GAUGE_FLOOR:
-            above = np.nonzero(np.abs(row) > GAUGE_FLOOR)[0]
-            if above.size == 0:
-                continue
-            anchor = row[above[0]]
-        fixed[eta] = row * np.exp(-1j * np.angle(anchor))
+    above = np.abs(fixed) > GAUGE_FLOOR
+    rows = np.nonzero(above.any(axis=1))[0]
+    anchors = fixed[rows, above[rows].argmax(axis=1)]
+    fixed[rows] *= np.exp(-1j * np.angle(anchors))[:, None]
     return fixed
 
 
@@ -159,37 +155,27 @@ def _raw_family_effects(u: np.ndarray, subset, phases) -> np.ndarray:
 def effects_from_family(mbs: MbsDevice, family, phases=None) -> Povm:
     """Build the D-outcome POVM for a connected-input family of the device.
 
-    ``family`` is a :class:`PovmFamily` or a plain subset (then ``phases``
-    defaults to zero). A POVM whose completeness deviation exceeds 1e-6 is
+    ``family`` is a :class:`PovmFamily` or a plain subset, whose ``phases``
+    default to zero. A POVM whose completeness deviation exceeds 1e-6 is
     still returned, with a warning; this happens for raw experimental
     matrices that were not re-unitarized.
     """
-    if isinstance(family, PovmFamily):
-        subset, phases = family.subset, family.phases
-    else:
-        subset = tuple(int(s) for s in family)
-        phases = np.zeros(len(subset)) if phases is None else np.asarray(phases, dtype=float)
-    if min(subset) < 1 or max(subset) > mbs.n_ports:
-        raise InvalidInput(f"subset {subset} is out of range for a {mbs.n_ports}-port device")
-    raw = _raw_family_effects(mbs.u, subset, phases)
+    if not isinstance(family, PovmFamily):
+        family = PovmFamily(family, np.zeros(len(family)) if phases is None else phases)
+    if family.subset[-1] > mbs.n_ports:
+        raise InvalidInput(f"subset {family.subset} is out of range for a {mbs.n_ports}-port device")
+    raw = _raw_family_effects(mbs.u, family.subset, family.phases)
     povm = Povm(gauge_fix_effects(raw))
     if not povm.is_complete():
         warnings.warn(
-            f"POVM for subset {subset} deviates from completeness by "
+            f"POVM for subset {family.subset} deviates from completeness by "
             f"{povm.completeness_deviation:.3e}; consider re-unitarizing the device",
             stacklevel=2,
         )
     return povm
 
 
-def _family_c_norm(u: np.ndarray, subset, phases, kind: str) -> float:
-    eff = gauge_fix_effects(_raw_family_effects(u, subset, phases))
-    block = eff[:, 1:]
-    return matrix_norm(block.T @ block, kind)
-
-
 def optimize_phases(mbs: MbsDevice, subset, n_starts: int = 32, seed: int = 0,
-                    maxiter: int = 2000, tol: float = 1e-8,
                     norm_kind: str = "spectral"):
     """Minimize the C-matrix norm of a family over its input phases.
 
@@ -204,7 +190,8 @@ def optimize_phases(mbs: MbsDevice, subset, n_starts: int = 32, seed: int = 0,
     rng = np.random.default_rng(seed)
 
     def objective(x):
-        return _family_c_norm(mbs.u, subset, np.concatenate(([0.0], x)), norm_kind)
+        raw = _raw_family_effects(mbs.u, subset, np.concatenate(([0.0], x)))
+        return matrix_norm(_c_gram(gauge_fix_effects(raw)), norm_kind)
 
     starts = [np.zeros(d - 1)]
     starts.extend(rng.uniform(0.0, 2.0 * np.pi, size=(n_starts, d - 1)))
@@ -212,7 +199,7 @@ def optimize_phases(mbs: MbsDevice, subset, n_starts: int = 32, seed: int = 0,
     best_val = objective(best_x)
     for x0 in starts:
         res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"xatol": tol, "fatol": tol, "maxiter": maxiter})
+                       options={"xatol": PHASE_TOL, "fatol": PHASE_TOL, "maxiter": PHASE_MAXITER})
         if res.fun < best_val:
             best_val, best_x = float(res.fun), res.x
     family = PovmFamily(subset=subset, phases=np.concatenate(([0.0], np.mod(best_x, 2.0 * np.pi))))
@@ -247,7 +234,5 @@ def haar_mean_c_norm(dim: int, n_outcomes: int, samples: int, rng,
         raise InvalidInput("need at least 100 samples for a stable baseline")
     vals = np.empty(samples)
     for i in range(samples):
-        u = haar_random_unitary(n_outcomes, rng)
-        block = u[:, 1:dim]
-        vals[i] = matrix_norm(block.T @ block, kind)
+        vals[i] = matrix_norm(_c_gram(haar_random_unitary(n_outcomes, rng)[:, :dim]), kind)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples))

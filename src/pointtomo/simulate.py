@@ -21,7 +21,7 @@ from scipy.linalg import expm
 
 from .errors import InvalidInput, SweepError
 from .estimator import BootstrapResult, MleConfig, bootstrap_infidelity, estimate_state
-from .povm import Povm, PovmFamily, effects_from_family, gauge_fix_effects, load_device
+from .povm import Povm, effects_from_family, gauge_fix_effects, load_device
 from .states import (DensityMatrix, StateVector, born_probabilities, depolarize,
                      equal_deviation_state, fiducial_state, fidelity)
 from .validation import check_in_range, check_probability_vector
@@ -65,6 +65,8 @@ class SweepConfig:
             raise InvalidInput("repetitions must be >= 1")
         if self.theta_scalar < 0:
             raise InvalidInput("theta_scalar must be >= 0")
+        if self.n_boot != 0 and self.n_boot < 10:
+            raise InvalidInput(f"n_boot must be 0 (no bootstrap) or >= 10, got {self.n_boot}")
         object.__setattr__(self, "n_grid", grid)
         object.__setattr__(self, "subset", tuple(int(s) for s in self.subset))
         if self.phases is not None:
@@ -184,9 +186,7 @@ def run_trial(state: DensityMatrix, povm: Povm, n: int, rng,
 
 def sweep_povm(cfg: SweepConfig) -> Povm:
     """Measurement of the sweep, before any systematic misalignment."""
-    mbs = load_device(cfg.device, cfg.reunitarize)
-    phases = np.zeros(len(cfg.subset)) if cfg.phases is None else np.asarray(cfg.phases)
-    return effects_from_family(mbs, PovmFamily(subset=cfg.subset, phases=phases))
+    return effects_from_family(load_device(cfg.device, cfg.reunitarize), cfg.subset, cfg.phases)
 
 
 def prepared_state(cfg: SweepConfig, dim: int) -> DensityMatrix:

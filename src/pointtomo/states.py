@@ -11,7 +11,7 @@ functions; the value types are immutable and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace operator."""
 
     mat: np.ndarray
-    _eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = check_square_matrix(self.mat, "density matrix")
@@ -68,15 +67,10 @@ class DensityMatrix:
             raise InvalidInput(f"density matrix has eigenvalue {evals.min()} below {EIGENVALUE_FLOOR}")
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "_eigenvalues", evals)
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self._eigenvalues
 
 
 def fiducial_state(dim: int) -> StateVector:

@@ -6,7 +6,7 @@ import pytest
 from pointtomo.cli import main
 from pointtomo.io import (atomic_write_text, metadata_record, read_sweep_table,
                           sweep_table_text)
-from pointtomo.simulate import SweepConfig, run_sweep
+from pointtomo.simulate import SweepConfig, SweepResult, run_sweep
 
 
 def run_cli(*argv):
@@ -41,6 +41,13 @@ class TestSimulateCommand:
         code = run_cli("simulate", "--theta", "0.01", "--n-grid", "50", "--seed", "1",
                        "--device", str(tmp_path / "missing.txt"))
         assert code == 2
+
+    def test_short_bootstrap_is_config_error_before_any_trial(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run_cli("simulate", "--theta", "0.01", "--n-grid", "100", "--boot", "5",
+                       "--seed", "1", "--out", str(out)) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_plot_output(self, tmp_path):
         out, svg = tmp_path / "s.csv", tmp_path / "s.svg"
@@ -108,6 +115,15 @@ class TestOtherCommands:
 
     def test_fit_missing_file_is_config_error(self, tmp_path):
         assert run_cli("fit", str(tmp_path / "nope.csv")) == 2
+        header = "N,trial,infidelity,boot_low,boot_q25,boot_median,boot_q75,boot_high\n"
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text(header + "100,0,0.01,nan,nan,nan,nan,nan\n1000,1,0.001\n")
+        assert run_cli("fit", str(ragged)) == 2
+        narrow = tmp_path / "narrow.csv"
+        narrow.write_text(header + "100,0,0.01\n1000,0,0.001\n")
+        svg = tmp_path / "r.svg"
+        assert run_cli("report", str(narrow), "--plot", str(svg)) == 2
+        assert not svg.exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -140,9 +156,14 @@ class TestIoHelpers:
         assert "timestamp" not in rec
 
     def test_read_rejects_foreign_header(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("a,b\n1,2\n")
         from pointtomo.errors import InvalidInput
 
-        with pytest.raises(InvalidInput):
-            read_sweep_table(str(bad))
+        header = ",".join(SweepResult.COLUMNS) + "\n"
+        cases = {"a,b\n1,2\n": "header",
+                 header + "100,0,0.01,nan,nan,nan,nan,nan\n100,1,0.02\n": "line 3",
+                 header + "100,0,0.01,nan,nan,x,nan,nan\n": "line 2"}
+        for text, message in cases.items():
+            bad = tmp_path / "bad.csv"
+            bad.write_text(text)
+            with pytest.raises(InvalidInput, match=message):
+                read_sweep_table(str(bad))

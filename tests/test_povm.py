@@ -4,9 +4,9 @@ import pytest
 from pointtomo.assets import reference_effects, reference_family_keys, seven_port_matrix
 from pointtomo.errors import DegenerateInput, InvalidInput
 from pointtomo.fisher import c_norm
-from pointtomo.povm import (Povm, PovmFamily, effects_from_family, enumerate_families,
-                            gauge_fix_effects, haar_mean_c_norm, haar_random_povm,
-                            haar_random_unitary, load_mbs, optimize_phases)
+from pointtomo.povm import (GAUGE_FLOOR, Povm, PovmFamily, effects_from_family,
+                            enumerate_families, gauge_fix_effects, haar_mean_c_norm,
+                            haar_random_povm, haar_random_unitary, load_mbs, optimize_phases)
 
 
 class TestLoadMbs:
@@ -202,6 +202,25 @@ class TestGaugeAndValidation:
         raw = np.zeros((2, 4), dtype=complex)
         raw[0, 0] = 1.0
         assert np.allclose(gauge_fix_effects(raw)[1], 0.0)
+        # non-zero but nowhere above GAUGE_FLOOR: no anchor, so no rotation
+        tiny = np.array([[1.0, 0, 0, 0], [1e-14j, 1e-13, 0, 0]], dtype=complex)
+        assert np.array_equal(gauge_fix_effects(tiny), tiny)
+
+    def test_matches_per_row_reference(self):
+        def reference(raw):
+            fixed = np.array(raw, dtype=complex)
+            for row in fixed:
+                above = np.nonzero(np.abs(row) > GAUGE_FLOOR)[0]
+                if above.size:
+                    row *= np.exp(-1j * np.angle(row[above[0]]))
+            return fixed
+
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            raw = haar_random_unitary(7, rng)[:, :4]
+            raw[rng.random(raw.shape) < 0.3] = 0.0   # vanishing anchors take the fallback
+            raw[0] = [1e-14j, 1e-13, 0.0, 0.0]
+            assert gauge_fix_effects(raw).tobytes() == reference(raw).tobytes()
 
     def test_povm_rejects_ungauged_effects(self):
         eff = np.eye(4, dtype=complex)
