@@ -16,8 +16,8 @@ from .povm import (MbsDevice, Povm, PovmFamily, effects_from_family,
                    enumerate_families, gauge_fix_effects, haar_mean_c_norm,
                    haar_random_povm, haar_random_unitary, load_mbs, optimize_phases)
 from .simulate import (NoiseConfig, SweepConfig, SweepResult, TrialResult,
-                       config_hash, expected_infidelity_floor, perturb_effects,
-                       prepared_state, run_sweep, run_trial, sample_counts, trial_rng)
+                       expected_infidelity_floor, perturb_effects, prepared_state,
+                       run_sweep, run_trial, sample_counts, trial_rng)
 from .states import (DensityMatrix, StateVector, born_probabilities, depolarize,
                      equal_deviation_state, fiducial_state, fidelity,
                      neighborhood_state)

@@ -19,13 +19,13 @@ from .errors import InvalidInput, PointTomoError
 from .estimator import MleConfig, bootstrap_infidelity, fit_power_law
 from .fisher import (asymptotic_infidelity_coefficient, c_matrix, c_norm,
                      cfim_first_order, gm_inequality_lhs, qfim_pure)
-from .io import atomic_write_text, read_sweep_table, sweep_table_text, write_output
+from .io import (atomic_write_text, config_hash, read_sweep_table, sweep_table_text,
+                 write_output)
 from .plotting import sweep_plot_svg
 from .povm import (effects_from_family, enumerate_families, haar_mean_c_norm,
                    load_device, optimize_phases)
-from .simulate import (NoiseConfig, SweepConfig, config_hash,
-                       expected_infidelity_floor, prepared_state, run_sweep,
-                       sample_counts, sweep_povm, trial_rng)
+from .simulate import (NoiseConfig, SweepConfig, expected_infidelity_floor,
+                       prepared_state, run_sweep, sample_counts, sweep_povm, trial_rng)
 from .states import born_probabilities, depolarize, equal_deviation_state
 
 
@@ -40,6 +40,13 @@ def _parse_floats(text: str) -> tuple:
 def _family_povm(args):
     device = load_device(args.device, not args.raw_device)
     return device, effects_from_family(device, args.subset, args.phases)
+
+
+def _write_run(args, text: str, extra: dict | None = None) -> None:
+    """Write ``--out`` and its sidecar, hashing every argument except the output
+    paths and the worker count, which leave ``text`` unchanged."""
+    run = {k: v for k, v in vars(args).items() if k not in ("func", "out", "plot", "workers")}
+    write_output(args.out, text, config_hash(run), args.seed, extra)
 
 
 def _add_device_args(p):
@@ -78,8 +85,7 @@ def cmd_design(args) -> int:
     winner = rows[0]
     sys.stdout.write(f"# winner: subset {winner[0]} with {args.norm} norm {winner[2]:.4f}\n")
     if args.out:
-        write_output(args.out, table, config_hash(("design", args.device, dim, args.norm,
-                                                   args.starts, args.seed)), args.seed)
+        _write_run(args, table)
     return 0
 
 
@@ -109,8 +115,7 @@ def cmd_fisher(args) -> int:
     text = "\n".join(out) + "\n"
     sys.stdout.write(text)
     if args.out:
-        write_output(args.out, text, config_hash(("fisher", args.device, args.subset,
-                                                  args.norm, args.haar_baseline)), args.seed)
+        _write_run(args, text)
     return 0
 
 
@@ -119,7 +124,7 @@ def _sweep_config(args) -> SweepConfig:
         theta_scalar=args.theta,
         n_grid=args.n_grid,
         repetitions=args.reps,
-        noise=NoiseConfig(lam=args.lam, systematic_epsilon=args.epsilon, seed=args.seed),
+        noise=NoiseConfig(lam=args.lam, systematic_epsilon=args.epsilon),
         subset=args.subset,
         phases=args.phases,
         device=args.device,
@@ -135,8 +140,7 @@ def cmd_simulate(args) -> int:
     result = run_sweep(cfg, workers=args.workers)
     table = sweep_table_text(result)
     if args.out:
-        write_output(args.out, table, result.config_hash, result.seed,
-                     extra={"rows": len(result.rows)})
+        _write_run(args, table, extra={"rows": len(result.rows)})
     else:
         sys.stdout.write(table)
     if args.plot:
@@ -164,8 +168,7 @@ def cmd_bootstrap(args) -> int:
     table = "\n".join(lines) + "\n"
     sys.stdout.write(table)
     if args.out:
-        write_output(args.out, table, config_hash(("bootstrap", tuple(counts), args.boot)),
-                     args.seed, extra={"resampling": "empirical-frequencies"})
+        _write_run(args, table, extra={"resampling": "empirical-frequencies"})
     return 0
 
 
@@ -174,7 +177,7 @@ def cmd_fit(args) -> int:
     fit = fit_power_law(table[:, :3:2])
     record = {"coefficient": fit.coefficient, "exponent": fit.exponent,
               "residual": fit.residual, "source": os.path.basename(args.infile),
-              "source_hash": config_hash(tuple(map(tuple, table.tolist())))}
+              "source_hash": config_hash(table.tolist())}
     sys.stdout.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
     if args.out:
         atomic_write_text(args.out, json.dumps(record, indent=2, sort_keys=True) + "\n")
@@ -236,14 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="deviation scalar of the prepared state")
         p.add_argument("--lambda", dest="lam", type=float, default=1.0,
                        help="depolarizing weight of the preparation (1 = noiseless)")
-        p.add_argument("--epsilon", type=float, default=0.0,
-                       help="systematic misalignment strength (0 disables)")
         p.add_argument("--seed", type=int, required=True)
         p.add_argument("--boot", type=int, default=0, help="bootstrap replicas per trial")
         p.add_argument("--mle-starts", type=int, default=8)
 
     p = sub.add_parser("simulate", help="run an infidelity-vs-N sweep")
     add_sim_args(p)
+    p.add_argument("--epsilon", type=float, default=0.0,
+                   help="systematic misalignment strength (0 disables)")
     p.add_argument("--n-grid", type=_parse_ints, required=True,
                    help="comma separated ensemble sizes, increasing")
     p.add_argument("--reps", type=int, default=1)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.optimize import minimize
@@ -28,20 +29,19 @@ from .validation import check_counts
 class MleConfig:
     """Optimizer settings for :func:`estimate_state`."""
 
-    max_iterations: int = 500
     tolerance: float = 1e-10          # relative log-likelihood change per iteration
     starts: int = 8                   # random starts in addition to fiducial + linearized
-    start_radius: float = 0.3         # |theta_j| bound for random starts
-    chart_bound: float = 0.6          # box bound on Re/Im of each theta_j
-    seed: int = 0                     # start draws are a function of the config only
+
+    max_iterations: ClassVar[int] = 500
+    start_radius: ClassVar[float] = 0.3   # |theta_j| bound for random starts
+    chart_bound: ClassVar[float] = 0.6    # box bound on Re/Im of each theta_j
+    seed: ClassVar[int] = 0               # start draws are a function of the config only
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise InvalidInput("tolerance must be positive")
-        if self.starts < 1 or self.max_iterations < 1:
-            raise InvalidInput("starts and max_iterations must be >= 1")
-        if not 0 < self.start_radius <= self.chart_bound:
-            raise InvalidInput("need 0 < start_radius <= chart_bound")
+        if self.starts < 1:
+            raise InvalidInput("starts must be >= 1")
 
 
 @dataclass(frozen=True)

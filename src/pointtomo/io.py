@@ -7,6 +7,7 @@ file + rename); a failed run leaves no partial table behind.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -85,6 +86,12 @@ def metadata_record(config_digest: str, seed: int, extra: dict | None = None,
     if timestamp:
         record["timestamp"] = datetime.now(timezone.utc).isoformat()
     return record
+
+
+def config_hash(obj) -> str:
+    """SHA-256 of the canonical (sorted-key, compact) JSON form of ``obj``."""
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def write_output(path: str, text: str, config_digest: str, seed: int,

@@ -9,8 +9,6 @@ count.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -29,11 +27,10 @@ from .validation import check_in_range, check_probability_vector
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Depolarizing weight, optional systematic misalignment strength, seed."""
+    """Depolarizing weight and optional systematic misalignment strength."""
 
     lam: float = 1.0
     systematic_epsilon: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         check_in_range(self.lam, 0.0, 1.0, "lam")
@@ -84,11 +81,9 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """All trial rows of a sweep plus reproducibility provenance."""
+    """All trial rows of a sweep; ``partial`` marks an aborted sweep."""
 
     rows: tuple                       # (n, trial, infidelity, boot_low, q25, median, q75, boot_high)
-    config_hash: str
-    seed: int
     partial: bool = False
 
     COLUMNS = ("N", "trial", "infidelity", "boot_low", "boot_q25",
@@ -105,24 +100,6 @@ class SweepResult:
         """(N, infidelity) pairs of every trial, for power-law fitting."""
         arr = self.as_array()
         return arr[:, :3:2]
-
-
-def config_hash(cfg) -> str:
-    """Stable SHA-256 of a configuration dataclass tree."""
-
-    def encode(obj):
-        if hasattr(obj, "__dataclass_fields__"):
-            return {k: encode(getattr(obj, k)) for k in sorted(obj.__dataclass_fields__)}
-        if isinstance(obj, (tuple, list)):
-            return [encode(v) for v in obj]
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        if isinstance(obj, (np.integer, np.floating)):
-            return obj.item()
-        return obj
-
-    blob = json.dumps(encode(cfg), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def trial_rng(master_seed: int, grid_index: int, trial: int, stream: int = 0):
@@ -207,29 +184,32 @@ def run_sweep(cfg: SweepConfig, povm: Povm | None = None, workers: int = 1) -> S
     """Execute all (N, trial) work items of a sweep.
 
     The result is deterministic given (config, seed) and independent of
-    ``workers``; any trial error aborts with a :class:`SweepError` carrying
-    the partial result flagged as such.
+    ``workers``, which caps the process pool at the number of work items;
+    any trial error aborts with a :class:`SweepError` carrying the partial
+    result flagged as such.
     """
+    if workers < 1:
+        raise InvalidInput(f"workers must be >= 1, got {workers}")
     if povm is None:
         povm = sweep_povm(cfg)
     rho = prepared_state(cfg, povm.dim)
     if cfg.noise.systematic_epsilon > 0:
         povm = perturb_effects(povm, cfg.noise.systematic_epsilon,
-                               np.random.default_rng(np.random.SeedSequence(cfg.noise.seed)))
+                               np.random.default_rng(np.random.SeedSequence(cfg.seed)))
     # the built POVM and state travel to the workers once per chunk, unvalidated
     row_of = partial(_sweep_row, povm, rho, cfg)
     items = [(i, n, t) for i, n in enumerate(cfg.n_grid) for t in range(cfg.repetitions)]
+    # the fork start method launches every requested process at the first submit
+    workers = min(workers, len(items))
     rows = []
-    digest = config_hash(cfg)
     try:
         with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
             for row in pool.map(row_of, items, chunksize=8) if pool else map(row_of, items):
                 rows.append(row)
     except Exception as exc:
-        partial_result = SweepResult(rows=tuple(rows), config_hash=digest, seed=cfg.seed,
-                                     partial=True)
+        partial_result = SweepResult(rows=tuple(rows), partial=True)
         raise SweepError(f"sweep aborted: {exc}", partial=partial_result) from exc
-    return SweepResult(rows=tuple(rows), config_hash=digest, seed=cfg.seed)
+    return SweepResult(rows=tuple(rows))
 
 
 def expected_infidelity_floor(rho: DensityMatrix, povm: Povm,

@@ -6,7 +6,8 @@ import pytest
 from pointtomo.cli import main
 from pointtomo.io import (atomic_write_text, metadata_record, read_sweep_table,
                           sweep_table_text)
-from pointtomo.simulate import SweepConfig, SweepResult, run_sweep
+from pointtomo.estimator import MleConfig
+from pointtomo.simulate import NoiseConfig, SweepConfig, SweepResult, run_sweep
 
 
 def run_cli(*argv):
@@ -33,9 +34,41 @@ class TestSimulateCommand:
         assert set(meta["versions"]) == {"pointtomo", "numpy", "scipy"}
 
     def test_seed_required(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            run_cli("simulate", "--theta", "0.01", "--n-grid", "50")
-        assert excinfo.value.code == 2
+        # a missing --seed, and --epsilon on bootstrap, which never reads it
+        for argv in (["simulate", "--theta", "0.01", "--n-grid", "50"],
+                     ["bootstrap", "--theta", "0.01", "--seed", "4", "--epsilon", "0.3"]):
+            with pytest.raises(SystemExit) as excinfo:
+                run_cli(*argv)
+            assert excinfo.value.code == 2
+
+    def test_sidecar_hash_covers_every_table_argument(self, tmp_path):
+        def digest(*argv, name="t.txt"):
+            out = tmp_path / name
+            assert run_cli(*argv, "--out", str(out)) == 0
+            return json.loads(out.with_suffix(".meta.json").read_text())["config_hash"]
+
+        assert digest("fisher") != digest("fisher", "--phases", "0,0.3,1.1,2.5")
+        device = tmp_path / "identity.txt"
+        device.write_text("\n".join(" ".join("+1+0j" if i == j else "+0+0j"
+                                             for j in range(4)) for i in range(4)) + "\n")
+        design = ("design", "--device", str(device), "--starts", "0")
+        assert digest(*design) != digest(*design, "--raw-device")
+        boot = ("bootstrap", "--counts", "40,30,20,5,3,1,1", "--seed", "4", "--boot", "10",
+                "--mle-starts", "1")
+        assert digest(*boot, "--theta", "0.01") != digest(*boot, "--theta", "0.2")
+        sim = ("simulate", "--theta", "0.01", "--n-grid", "50", "--reps", "2", "--seed", "4",
+               "--mle-starts", "1")
+        assert (digest(*sim, "--workers", "1", name="a.csv")
+                == digest(*sim, "--workers", "2", name="b.csv"))
+
+    def test_library_sweep_matches_cli(self, capsys):
+        cfg = SweepConfig(theta_scalar=0.01, n_grid=(500,), repetitions=3, seed=7,
+                          noise=NoiseConfig(systematic_epsilon=0.05), mle=MleConfig(starts=2))
+        table = sweep_table_text(run_sweep(cfg))
+        assert run_cli("simulate", "--theta", "0.01", "--n-grid", "500", "--reps", "3",
+                       "--seed", "7", "--epsilon", "0.05", "--mle-starts", "2",
+                       "--workers", "1") == 0
+        assert capsys.readouterr().out == table
 
     def test_bad_device_path_is_config_error(self, tmp_path):
         code = run_cli("simulate", "--theta", "0.01", "--n-grid", "50", "--seed", "1",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pointtomo.simulate as sim
+from pointtomo.cli import main
 from pointtomo.errors import InvalidInput, SweepError
 from pointtomo.estimator import MleConfig
 from pointtomo.fisher import c_norm
@@ -101,7 +102,6 @@ class TestRunSweep:
         arr = res.as_array()
         keys = {(int(r[0]), int(r[1])) for r in arr}
         assert len(keys) == len(arr) == 8
-        assert res.config_hash
         assert not res.partial
 
     def test_bootstrap_columns_ordered(self, family_povm):
@@ -148,6 +148,37 @@ class TestRunSweep:
         ns = np.array(sorted(means))
         slope = np.polyfit(np.log(ns), np.log([means[n] for n in ns]), 1)[0]
         assert -1.1 < slope < -0.9
+
+    def test_pool_is_capped_at_the_work_items(self, family_povm, monkeypatch):
+        # a recording stand-in, so no real pool is started at any size
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        cfg = SweepConfig(theta_scalar=0.01, n_grid=(50, 100), repetitions=2, seed=1,
+                          mle=MleConfig(starts=1))
+        serial = run_sweep(cfg, povm=family_povm, workers=1)
+        assert sizes == []
+        assert run_sweep(cfg, povm=family_povm, workers=64).rows == serial.rows
+        assert sizes == [4]
+        for workers in (0, -3):
+            with pytest.raises(InvalidInput):
+                run_sweep(cfg, povm=family_povm, workers=workers)
+        assert main(["simulate", "--theta", "0.01", "--n-grid", "50", "--seed", "1",
+                     "--workers", "0"]) == 2
+        assert sizes == [4]
 
     def test_trial_error_aborts_with_partial_flag(self, monkeypatch):
         calls = {"n": 0}
