@@ -29,6 +29,9 @@ from .simulate import (NoiseConfig, SweepConfig, expected_infidelity_floor,
 from .states import born_probabilities, depolarize, equal_deviation_state
 
 
+DEVICE_HELP = "device matrix: 'u7' for the builtin asset or a text file path"
+
+
 def _parse_ints(text: str) -> tuple:
     return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
 
@@ -38,7 +41,7 @@ def _parse_floats(text: str) -> tuple:
 
 
 def _family_povm(args):
-    device = load_device(args.device, not args.raw_device)
+    device = load_device(args.device)
     return device, effects_from_family(device, args.subset, args.phases)
 
 
@@ -49,15 +52,8 @@ def _write_run(args, text: str, extra: dict | None = None) -> None:
     write_output(args.out, text, config_hash(run), args.seed, extra)
 
 
-def _add_device_args(p):
-    p.add_argument("--device", default="u7",
-                   help="device matrix: 'u7' for the builtin asset or a text file path")
-    p.add_argument("--raw-device", action="store_true",
-                   help="keep the raw matrix instead of projecting to the nearest unitary")
-
-
 def _add_family_args(p):
-    _add_device_args(p)
+    p.add_argument("--device", default="u7", help=DEVICE_HELP)
     p.add_argument("--subset", type=_parse_ints, default=(4, 5, 6, 7),
                    help="connected input ports, comma separated (1-based)")
     p.add_argument("--phases", type=_parse_floats, default=None,
@@ -65,7 +61,7 @@ def _add_family_args(p):
 
 
 def cmd_design(args) -> int:
-    device = load_device(args.device, not args.raw_device)
+    device = load_device(args.device)
     dim = args.dim
     families = enumerate_families(device.n_ports, dim)
     rows = []
@@ -128,7 +124,6 @@ def _sweep_config(args) -> SweepConfig:
         subset=args.subset,
         phases=args.phases,
         device=args.device,
-        reunitarize=not args.raw_device,
         seed=args.seed,
         n_boot=args.boot,
         mle=MleConfig(starts=args.mle_starts),
@@ -216,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("design", help="rank all input families of a device by C norm")
-    _add_device_args(p)
+    p.add_argument("--device", default="u7", help=DEVICE_HELP)
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--norm", choices=["spectral", "frobenius"], default="spectral")
     p.add_argument("--starts", type=int, default=32)
@@ -280,10 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "boot", 0) and args.boot < 0:
-        parser.error("--boot must be >= 0")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InvalidInput, FileNotFoundError, OSError) as exc:

@@ -120,9 +120,10 @@ def load_mbs(matrix, reunitarize: bool = True) -> MbsDevice:
                      replacement_distance=distance)
 
 
-def load_device(spec: str, reunitarize: bool) -> MbsDevice:
-    """Load a device: ``"u7"`` for the shipped 7-port matrix, else a matrix text file."""
-    return load_mbs(seven_port_matrix() if spec == "u7" else load_matrix(spec), reunitarize)
+def load_device(spec: str) -> MbsDevice:
+    """Load a device projected onto the nearest unitary: ``"u7"`` for the shipped
+    7-port matrix, else a matrix text file."""
+    return load_mbs(seven_port_matrix() if spec == "u7" else load_matrix(spec))
 
 
 def enumerate_families(n_ports: int, dim: int) -> list:

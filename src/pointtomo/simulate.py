@@ -49,7 +49,6 @@ class SweepConfig:
     subset: tuple = (4, 5, 6, 7)
     phases: tuple | None = None
     device: str = "u7"
-    reunitarize: bool = True
     seed: int = 0
     n_boot: int = 0
     mle: MleConfig = MleConfig()
@@ -163,7 +162,7 @@ def run_trial(state: DensityMatrix, povm: Povm, n: int, rng,
 
 def sweep_povm(cfg: SweepConfig) -> Povm:
     """Measurement of the sweep, before any systematic misalignment."""
-    return effects_from_family(load_device(cfg.device, cfg.reunitarize), cfg.subset, cfg.phases)
+    return effects_from_family(load_device(cfg.device), cfg.subset, cfg.phases)
 
 
 def prepared_state(cfg: SweepConfig, dim: int) -> DensityMatrix:

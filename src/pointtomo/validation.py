@@ -11,6 +11,9 @@ import numpy as np
 
 from .errors import InvalidInput
 
+PROBABILITY_NAME = "probabilities"
+PROBABILITY_TOL = 1e-9
+
 
 def check_complex_vector(x, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D complex array."""
@@ -41,14 +44,16 @@ def check_square_matrix(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def check_probability_vector(p, name: str = "probabilities", tol: float = 1e-9) -> np.ndarray:
+def check_probability_vector(p) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1:
-        raise InvalidInput(f"{name} must be one-dimensional")
-    if np.any(arr < -tol) or not np.all(np.isfinite(arr)):
-        raise InvalidInput(f"{name} must be nonnegative and finite")
-    if abs(arr.sum() - 1.0) > tol:
-        raise InvalidInput(f"{name} must sum to 1 within {tol}, got {arr.sum()!r}")
+        raise InvalidInput(f"{PROBABILITY_NAME} must be one-dimensional")
+    if np.any(arr < -PROBABILITY_TOL) or not np.all(np.isfinite(arr)):
+        raise InvalidInput(f"{PROBABILITY_NAME} must be nonnegative and finite")
+    total = float(arr.sum())
+    if abs(total - 1.0) > PROBABILITY_TOL:
+        raise InvalidInput(f"{PROBABILITY_NAME} must sum to 1 within {PROBABILITY_TOL}, "
+                           f"got {total}")
     return np.clip(arr, 0.0, None)
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pointtomo.assets import U7_NAME, asset_text
 from pointtomo.cli import main
 from pointtomo.io import (atomic_write_text, metadata_record, read_sweep_table,
                           sweep_table_text)
@@ -34,9 +35,11 @@ class TestSimulateCommand:
         assert set(meta["versions"]) == {"pointtomo", "numpy", "scipy"}
 
     def test_seed_required(self, capsys):
-        # a missing --seed, and --epsilon on bootstrap, which never reads it
+        # a missing --seed, --epsilon on bootstrap, which never reads it, and the
+        # deleted --raw-device
         for argv in (["simulate", "--theta", "0.01", "--n-grid", "50"],
-                     ["bootstrap", "--theta", "0.01", "--seed", "4", "--epsilon", "0.3"]):
+                     ["bootstrap", "--theta", "0.01", "--seed", "4", "--epsilon", "0.3"],
+                     ["design", "--raw-device"]):
             with pytest.raises(SystemExit) as excinfo:
                 run_cli(*argv)
             assert excinfo.value.code == 2
@@ -52,7 +55,7 @@ class TestSimulateCommand:
         device.write_text("\n".join(" ".join("+1+0j" if i == j else "+0+0j"
                                              for j in range(4)) for i in range(4)) + "\n")
         design = ("design", "--device", str(device), "--starts", "0")
-        assert digest(*design) != digest(*design, "--raw-device")
+        assert digest(*design) != digest(*design, "--norm", "frobenius")
         boot = ("bootstrap", "--counts", "40,30,20,5,3,1,1", "--seed", "4", "--boot", "10",
                 "--mle-starts", "1")
         assert digest(*boot, "--theta", "0.01") != digest(*boot, "--theta", "0.2")
@@ -77,10 +80,12 @@ class TestSimulateCommand:
 
     def test_short_bootstrap_is_config_error_before_any_trial(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
-        assert run_cli("simulate", "--theta", "0.01", "--n-grid", "100", "--boot", "5",
-                       "--seed", "1", "--out", str(out)) == 2
-        assert "configuration error" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        for argv in (("simulate", "--n-grid", "100", "--boot", "5"),
+                     ("simulate", "--n-grid", "100", "--boot", "-1"),
+                     ("bootstrap", "--boot", "-1")):
+            assert run_cli(*argv, "--theta", "0.01", "--seed", "1", "--out", str(out)) == 2
+            assert "configuration error" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == []
 
     def test_plot_output(self, tmp_path):
         out, svg = tmp_path / "s.csv", tmp_path / "s.svg"
@@ -112,6 +117,14 @@ class TestOtherCommands:
                        "--starts", "2") == 0
         out = capsys.readouterr().out
         assert "1.732051" in out  # frobenius norm of the 3x3 identity C
+
+    def test_device_file_is_projected_like_the_builtin(self, tmp_path, capsys):
+        device = tmp_path / "u7.txt"
+        device.write_text(asset_text(U7_NAME))
+        assert run_cli("fisher") == 0
+        builtin = capsys.readouterr().out
+        assert run_cli("fisher", "--device", str(device)) == 0
+        assert capsys.readouterr().out == builtin
 
     def test_fisher_command(self, capsys):
         assert run_cli("fisher", "--haar-baseline", "150", "--seed", "2") == 0

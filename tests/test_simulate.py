@@ -40,6 +40,10 @@ class TestSampleCounts:
     def test_negative_probabilities_rejected(self):
         with pytest.raises(InvalidInput):
             sample_counts([0.5, 0.6, -0.1], 10, np.random.default_rng(0))
+        with pytest.raises(InvalidInput) as excinfo:
+            sample_counts([0.5, 0.4], 10, np.random.default_rng(0))
+        message = str(excinfo.value)
+        assert message.endswith("got 0.9") and "np." not in message
 
 
 class TestPerturbEffects:
