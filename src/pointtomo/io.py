@@ -16,6 +16,7 @@ from datetime import datetime, timezone
 import numpy as np
 import scipy
 
+from .blas import blas_threads
 from .errors import InvalidInput
 from .simulate import SweepResult
 
@@ -80,6 +81,7 @@ def metadata_record(config_digest: str, seed: int, extra: dict | None = None,
         "seed": seed,
         "versions": {"pointtomo": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
+        "blas_threads": blas_threads(),
     }
     if extra:
         record.update(extra)

@@ -33,6 +33,7 @@ class TestSimulateCommand:
         assert len(meta["config_hash"]) == 64
         assert "timestamp" in meta and "versions" in meta
         assert set(meta["versions"]) == {"pointtomo", "numpy", "scipy"}
+        assert all(n == 1 for n in meta["blas_threads"].values())
 
     def test_seed_required(self, capsys):
         # a missing --seed, --epsilon on bootstrap, which never reads it, and the

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import disk_theta
+from pointtomo import estimator
 from pointtomo.errors import DegenerateInput, InvalidInput
 from pointtomo.estimator import (MleConfig, _neg_log_likelihood, bootstrap_infidelity,
                                  estimate_state, estimate_theta, fit_power_law)
 from pointtomo.fisher import PROBABILITY_FLOOR
 from pointtomo.povm import Povm
+from pointtomo.simulate import (NoiseConfig, SweepConfig, prepared_state, sample_counts,
+                                trial_rng)
 from pointtomo.states import (born_probabilities, depolarize, equal_deviation_state,
                               fidelity, fiducial_state, neighborhood_state,
                               pure_probabilities)
@@ -18,12 +21,42 @@ def exact_frequencies(povm, theta):
     return pure_probabilities(povm.effects, neighborhood_state(theta).amps)
 
 
-def central_differences(objective, x, h):
-    """Fourth-order central-difference gradient of ``objective(x)[0]``."""
+def central_differences(objective, x, h, part=0):
+    """Fourth-order central differences of ``objective(x)[part]``, one row per
+    coordinate of ``x``: the gradient of the value (part 0), or the Hessian
+    from the gradient (part 1)."""
     def f(y):
-        return objective(y)[0]
+        return objective(y)[part]
     return np.array([(8.0 * (f(x + h * e) - f(x - h * e)) - f(x + 2 * h * e) + f(x - 2 * h * e))
                      / (12.0 * h) for e in np.eye(x.size)])
+
+
+def chart_box_points(family_povm):
+    """20 (objective, x) pairs: random weights, x uniform in the chart box."""
+    rng = np.random.default_rng(23)
+    bound = MleConfig().chart_bound
+    for _ in range(20):
+        objective = _neg_log_likelihood(family_povm.effects, rng.dirichlet(np.ones(7)))
+        yield objective, rng.uniform(-bound, bound, 6)
+
+
+def below_floor_point(family_povm):
+    """(objective, x, h): x on the null set of outcome 3, whose probability
+    stays below the floor at every difference point x +- h e, x +- 2 h e."""
+    a = family_povm.effects[3]
+    theta = -np.conj(a[0]) * a[1:] / np.vdot(a[1:], a[1:]).real
+    x = np.concatenate([theta.real, theta.imag])
+    h = 5e-7
+    for y in (x, *(x + 2 * h * e for e in np.eye(6)), *(x - 2 * h * e for e in np.eye(6))):
+        assert exact_frequencies(family_povm, y[:3] + 1j * y[3:])[3] < PROBABILITY_FLOOR
+    objective = _neg_log_likelihood(family_povm.effects,
+                                    np.random.default_rng(24).dirichlet(np.ones(7)))
+    return objective, x, h
+
+
+def pinned_probabilities(family_povm):
+    """Noiseless theta = 0.5 state: Re theta_j = 0.707 lies outside the chart box."""
+    return born_probabilities(family_povm, depolarize(equal_deviation_state(0.5), 1.0))
 
 
 class TestEstimateState:
@@ -74,27 +107,67 @@ class TestEstimateState:
 
 class TestObjectiveGradient:
     def test_matches_central_differences_in_chart_box(self, family_povm):
-        rng = np.random.default_rng(23)
-        bound = MleConfig().chart_bound
-        for _ in range(20):
-            objective = _neg_log_likelihood(family_povm.effects, rng.dirichlet(np.ones(7)))
-            x = rng.uniform(-bound, bound, 6)
+        for objective, x in chart_box_points(family_povm):
             grad = objective(x)[1]
             assert np.max(np.abs(grad - central_differences(objective, x, 1e-5))) <= 1e-8
 
     def test_floored_outcome_adds_no_slope(self, family_povm):
-        # theta on the null set of outcome 3: its probability is below the floor
-        a = family_povm.effects[3]
-        theta = -np.conj(a[0]) * a[1:] / np.vdot(a[1:], a[1:]).real
-        x = np.concatenate([theta.real, theta.imag])
-        h = 5e-7
-        for y in (x, *(x + 2 * h * e for e in np.eye(6)), *(x - 2 * h * e for e in np.eye(6))):
-            assert exact_frequencies(family_povm, y[:3] + 1j * y[3:])[3] < PROBABILITY_FLOOR
-        objective = _neg_log_likelihood(family_povm.effects,
-                                        np.random.default_rng(24).dirichlet(np.ones(7)))
+        objective, x, h = below_floor_point(family_povm)
         grad = objective(x)[1]
         assert np.all(np.isfinite(grad))
         assert np.max(np.abs(grad - central_differences(objective, x, h))) <= 1e-8
+
+
+class TestObjectiveHessian:
+    def test_matches_differenced_gradient_in_chart_box(self, family_povm):
+        for objective, x in chart_box_points(family_povm):
+            hess = objective(x)[2]
+            assert np.max(np.abs(hess - central_differences(objective, x, 2e-5, part=1))) <= 1e-7
+
+    def test_floored_outcome_adds_no_curvature(self, family_povm):
+        objective, x, h = below_floor_point(family_povm)
+        hess = objective(x)[2]
+        assert np.all(np.isfinite(hess))
+        assert np.max(np.abs(hess - central_differences(objective, x, h, part=1))) <= 1e-7
+
+
+class TestStartPolicy:
+    def test_pinned_estimate_is_flagged(self, family_povm):
+        res = estimate_theta(pinned_probabilities(family_povm), family_povm)
+        assert res.at_bound
+        assert np.max(np.abs(np.concatenate([res.theta.real, res.theta.imag]))) == \
+            MleConfig.chart_bound
+
+    def test_random_starts_run_when_fixed_starts_end_on_bound(self, family_povm,
+                                                               monkeypatch):
+        runs = []
+        descend = estimator._descend
+
+        def recording(objective, x, cfg):
+            runs.append(descend(objective, x, cfg))
+            return runs[-1]
+
+        monkeypatch.setattr(estimator, "_descend", recording)
+        cfg = MleConfig(starts=6)
+        res = estimate_theta(pinned_probabilities(family_povm), family_povm, cfg)
+        assert res.n_candidates == len(runs) == 2 + cfg.starts
+        best = min(f for f, _, _ in runs)
+        tied = [x for f, x, _ in runs if f <= best + 50.0 * cfg.tolerance * max(1.0, abs(best))]
+        assert 1 < res.n_tied == len(tied)
+        closest = min(tied, key=lambda x: float(x @ x))
+        assert np.array_equal(np.concatenate([res.theta.real, res.theta.imag]), closest)
+
+    def test_fixed_starts_suffice_on_plateau_counts(self, family_povm):
+        # the N >= 1e4 trials of test_simulate's test_plateau_monotone_and_floored;
+        # at N = 1e3, 2 of its 12 trials end on the chart bound
+        cfg = SweepConfig(theta_scalar=0.2, n_grid=(1000, 10_000, 100_000), repetitions=12,
+                          noise=NoiseConfig(lam=0.987), seed=13, mle=MleConfig(starts=4))
+        probs = born_probabilities(family_povm, prepared_state(cfg, family_povm.dim))
+        for i, n in enumerate(cfg.n_grid[1:], start=1):
+            for t in range(cfg.repetitions):
+                counts = sample_counts(probs, n, trial_rng(cfg.seed, i, t))
+                res = estimate_theta(counts, family_povm, cfg.mle)
+                assert res.n_candidates == 2 and res.converged and not res.at_bound, (n, t)
 
 
 class TestBootstrap:
