@@ -41,8 +41,7 @@ def _parse_floats(text: str) -> tuple:
 
 
 def _family_povm(args):
-    device = load_device(args.device)
-    return device, effects_from_family(device, args.subset, args.phases)
+    return effects_from_family(load_device(args.device), args.subset, args.phases)
 
 
 def _write_run(args, text: str, extra: dict | None = None) -> None:
@@ -66,30 +65,27 @@ def cmd_design(args) -> int:
     families = enumerate_families(device.n_ports, dim)
     rows = []
     for subset in families:
-        zero = c_norm(effects_from_family(device, subset), args.norm)
-        family, best = optimize_phases(device, subset, n_starts=args.starts,
+        family, norm = optimize_phases(device, subset, n_starts=args.starts,
                                        seed=args.seed, norm_kind=args.norm)
-        rows.append((subset, zero, best, family.phases))
-    rows.sort(key=lambda r: r[2])
+        rows.append((subset, norm, family.phases))
+    rows.sort(key=lambda r: r[1])
+    # the norm is phase-invariant (see optimize_phases): both norm columns agree
     lines = ["subset,zero_phase_norm,optimized_norm,optimal_phases,winner"]
-    for rank, (subset, zero, best, phases) in enumerate(rows):
+    for rank, (subset, norm, phases) in enumerate(rows):
         subset_s = "".join(str(s) for s in subset)
         phases_s = ";".join(f"{p:.6f}" for p in phases)
-        lines.append(f"{subset_s},{zero:.6f},{best:.6f},{phases_s},{int(rank == 0)}")
+        lines.append(f"{subset_s},{norm:.6f},{norm:.6f},{phases_s},{int(rank == 0)}")
     table = "\n".join(lines) + "\n"
     sys.stdout.write(table)
     winner = rows[0]
-    sys.stdout.write(f"# winner: subset {winner[0]} with {args.norm} norm {winner[2]:.4f}\n")
+    sys.stdout.write(f"# winner: subset {winner[0]} with {args.norm} norm {winner[1]:.4f}\n")
     if args.out:
         _write_run(args, table)
     return 0
 
 
 def cmd_fisher(args) -> int:
-    device, povm = _family_povm(args)
-    if args.optimize_phases:
-        family, _ = optimize_phases(device, args.subset, seed=args.seed, norm_kind=args.norm)
-        povm = effects_from_family(device, family)
+    povm = _family_povm(args)
     c = c_matrix(povm)
     cfim = cfim_first_order(povm)
     qfim = qfim_pure(np.zeros(povm.dim - 1, dtype=complex))
@@ -150,7 +146,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    _, povm = _family_povm(args)
+    povm = _family_povm(args)
     rho = depolarize(equal_deviation_state(args.theta, povm.dim), args.lam)
     if args.counts is not None:
         counts = np.asarray(args.counts, dtype=float)
@@ -214,15 +210,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device", default="u7", help=DEVICE_HELP)
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--norm", choices=["spectral", "frobenius"], default="spectral")
-    p.add_argument("--starts", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--starts", type=int, default=32,
+                   help="no effect: the C norm does not depend on the input phases")
+    p.add_argument("--seed", type=int, default=0,
+                   help="no effect: the C norm does not depend on the input phases")
     p.add_argument("--out")
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("fisher", help="information matrices and C norm of one family")
     _add_family_args(p)
     p.add_argument("--norm", choices=["spectral", "frobenius"], default="spectral")
-    p.add_argument("--optimize-phases", action="store_true")
     p.add_argument("--haar-baseline", type=int, default=0, metavar="SAMPLES")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")

@@ -19,7 +19,6 @@ from itertools import combinations
 
 import numpy as np
 from scipy.linalg import polar
-from scipy.optimize import minimize
 
 from .assets import load_matrix, seven_port_matrix
 from .errors import DegenerateInput, InvalidInput
@@ -27,8 +26,6 @@ from .fisher import COMPLETENESS_TOL, _c_gram, matrix_norm
 from .validation import check_square_matrix
 
 GAUGE_FLOOR = 1e-12
-PHASE_TOL = 1e-8          # Nelder-Mead xatol and fatol of the phase search
-PHASE_MAXITER = 2000
 
 
 @dataclass(frozen=True)
@@ -180,31 +177,22 @@ def optimize_phases(mbs: MbsDevice, subset, n_starts: int = 32, seed: int = 0,
                     norm_kind: str = "spectral"):
     """Minimize the C-matrix norm of a family over its input phases.
 
-    Derivative-free local search (Nelder-Mead) from ``n_starts`` uniform
-    random phase vectors plus the zero vector; the first phase is the gauge
-    and stays 0. Returns ``(PovmFamily, best_norm)``; deterministency follows
-    from the seed. The zero start guarantees the result never exceeds the
-    zero-phase norm.
+    Input phase phi_j multiplies coefficient j of every outcome by
+    exp(-i phi_j), and phi_0 = 0 leaves the leading coefficient alone. When
+    every outcome's gauge anchor is its leading coefficient, the gauge
+    rotations do not depend on phi either, so C(phi) = D C(0) D with the
+    unitary D = diag(exp(-i phi_j)), j >= 1: every singular value of C, and
+    hence both norms and the asymptotic infidelity coefficient, is the same
+    at all phases. The precondition holds on all 35 families of the shipped
+    7-port device, whose smallest leading magnitude is 0.147.
+
+    Returns ``(PovmFamily, norm)`` of the zero-phase family. ``n_starts``
+    and ``seed`` are accepted for compatibility and no longer change the
+    result.
     """
-    subset = tuple(int(s) for s in subset)
-    d = len(subset)
-    rng = np.random.default_rng(seed)
-
-    def objective(x):
-        raw = _raw_family_effects(mbs.u, subset, np.concatenate(([0.0], x)))
-        return matrix_norm(_c_gram(gauge_fix_effects(raw)), norm_kind)
-
-    starts = [np.zeros(d - 1)]
-    starts.extend(rng.uniform(0.0, 2.0 * np.pi, size=(n_starts, d - 1)))
-    best_x = starts[0]
-    best_val = objective(best_x)
-    for x0 in starts:
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"xatol": PHASE_TOL, "fatol": PHASE_TOL, "maxiter": PHASE_MAXITER})
-        if res.fun < best_val:
-            best_val, best_x = float(res.fun), res.x
-    family = PovmFamily(subset=subset, phases=np.concatenate(([0.0], np.mod(best_x, 2.0 * np.pi))))
-    return family, float(best_val)
+    family = PovmFamily(subset, np.zeros(len(subset)))
+    povm = effects_from_family(mbs, family)
+    return family, matrix_norm(_c_gram(povm.effects), norm_kind)
 
 
 def haar_random_unitary(n: int, rng) -> np.ndarray:

@@ -200,10 +200,12 @@ def run_sweep(cfg: SweepConfig, povm: Povm | None = None, workers: int = 1) -> S
     items = [(i, n, t) for i, n in enumerate(cfg.n_grid) for t in range(cfg.repetitions)]
     # the fork start method launches every requested process at the first submit
     workers = min(workers, len(items))
+    # one chunk per worker, so no worker idles while another runs a second chunk
+    chunk = -(-len(items) // workers)
     rows = []
     try:
         with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-            for row in pool.map(row_of, items, chunksize=8) if pool else map(row_of, items):
+            for row in pool.map(row_of, items, chunksize=chunk) if pool else map(row_of, items):
                 rows.append(row)
     except Exception as exc:
         partial_result = SweepResult(rows=tuple(rows), partial=True)

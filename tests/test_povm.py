@@ -3,7 +3,7 @@ import pytest
 
 from pointtomo.assets import reference_effects, reference_family_keys, seven_port_matrix
 from pointtomo.errors import DegenerateInput, InvalidInput
-from pointtomo.fisher import c_norm
+from pointtomo.fisher import NORM_KINDS, c_matrix, c_norm, matrix_norm
 from pointtomo.povm import (GAUGE_FLOOR, Povm, PovmFamily, effects_from_family,
                             enumerate_families, gauge_fix_effects, haar_mean_c_norm,
                             haar_random_povm, haar_random_unitary, load_mbs, optimize_phases)
@@ -107,8 +107,9 @@ class TestEffectsFromFamily:
         assert np.max(np.abs(a - b)) < 1e-10
 
     def test_out_of_range_subset(self, device):
-        with pytest.raises(InvalidInput):
-            effects_from_family(device, (4, 5, 6, 8))
+        for build in (effects_from_family, optimize_phases):
+            with pytest.raises(InvalidInput):
+                build(device, (4, 5, 6, 8))
 
     def test_family_object_with_phases(self, device):
         family = PovmFamily(subset=(4, 5, 6, 7), phases=np.array([0.0, 0.3, 1.1, 2.0]))
@@ -116,7 +117,37 @@ class TestEffectsFromFamily:
         assert povm.completeness_deviation < 1e-10
 
 
+@pytest.fixture(scope="module")
+def design_devices(device):
+    """The shipped device and five Haar-random 7-port devices."""
+    rng = np.random.default_rng(31)
+    return [device] + [load_mbs(haar_random_unitary(7, rng)) for _ in range(5)]
+
+
 class TestOptimizePhases:
+    def test_c_matrix_is_phase_covariant(self, design_devices):
+        # C(phi) = D C(0) D with D = diag(exp(-i phi_j)), j >= 1, so no norm moves
+        rng = np.random.default_rng(32)
+        for dev in design_devices:
+            for subset in enumerate_families(7, 4):
+                c0 = c_matrix(effects_from_family(dev, subset))
+                for _ in range(5):
+                    phases = np.concatenate(([0.0], rng.uniform(0.0, 2.0 * np.pi, 3)))
+                    c = c_matrix(effects_from_family(dev, subset, phases))
+                    d = np.exp(-1j * phases[1:])
+                    assert np.max(np.abs(c - d[:, None] * c0 * d[None, :])) < 1e-12, subset
+                    for kind in NORM_KINDS:
+                        assert abs(matrix_norm(c, kind) - matrix_norm(c0, kind)) < 1e-12
+
+    def test_returns_zero_phase_family_and_norm(self, design_devices):
+        for dev in design_devices:
+            for subset in enumerate_families(7, 4):
+                for kind in NORM_KINDS:
+                    family, best = optimize_phases(dev, subset, norm_kind=kind)
+                    assert family.subset == subset
+                    assert not np.any(family.phases)
+                    assert best == c_norm(effects_from_family(dev, subset), kind)
+
     def test_identity_device_norm_is_phase_invariant(self):
         dev = load_mbs(np.eye(4))
         zero_norm = c_norm(effects_from_family(dev, (1, 2, 3, 4)))

@@ -5,7 +5,8 @@ import pointtomo.simulate as sim
 from pointtomo.cli import main
 from pointtomo.errors import InvalidInput, SweepError
 from pointtomo.estimator import MleConfig
-from pointtomo.fisher import c_norm
+from pointtomo.fisher import asymptotic_infidelity_coefficient, c_norm
+from pointtomo.povm import effects_from_family
 from pointtomo.io import sweep_table_text
 from pointtomo.simulate import (NoiseConfig, SweepConfig, expected_infidelity_floor,
                                 perturb_effects, prepared_state, run_sweep, run_trial,
@@ -85,6 +86,34 @@ class TestRunTrial:
         rho = depolarize(equal_deviation_state(0.01), 0.987)
         floor = expected_infidelity_floor(rho, family_povm)
         assert 0.003 < floor < 0.03
+
+
+@pytest.fixture(scope="module")
+def phased_family_povm(device):
+    """The 4567 family at one fixed nonzero set of input phases."""
+    return effects_from_family(device, (4, 5, 6, 7), (0.0, 0.7, 1.9, 4.1))
+
+
+class TestAsymptoticCoefficient:
+    """Mean N * infidelity in the asymptotic regime against the device's own
+    prediction sum_i 1 / (1 - s_i^2) from the C singular values s_i."""
+
+    @pytest.mark.parametrize("povm_name, predicted", [
+        ("family_povm", 3.806),          # the paper's 3.8/N
+        ("phased_family_povm", 3.806),   # input phases leave the singular values alone
+        ("fsm_povm", 3.0),               # Fisher symmetric: the Gill-Massar (d-1)/N
+    ])
+    def test_mean_n_infidelity_within_3_se(self, povm_name, predicted, request):
+        povm = request.getfixturevalue(povm_name)
+        coef = asymptotic_infidelity_coefficient(povm)
+        assert coef == pytest.approx(predicted, abs=5e-4)
+        cfg = SweepConfig(theta_scalar=0.01, n_grid=(10_000, 100_000), repetitions=200,
+                          noise=NoiseConfig(lam=1.0), seed=2024)
+        arr = run_sweep(cfg, povm=povm).as_array()
+        for n in cfg.n_grid:
+            scaled = n * arr[arr[:, 0] == n, 2]
+            se = scaled.std(ddof=1) / np.sqrt(scaled.size)
+            assert abs(scaled.mean() - coef) <= 3 * se, (n, scaled.mean(), se, coef)
 
 
 class TestRunSweep:
