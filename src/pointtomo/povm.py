@@ -175,7 +175,7 @@ def effects_from_family(mbs: MbsDevice, family, phases=None) -> Povm:
 
 def optimize_phases(mbs: MbsDevice, subset, n_starts: int = 32, seed: int = 0,
                     norm_kind: str = "spectral"):
-    """Minimize the C-matrix norm of a family over its input phases.
+    """C-matrix norm of a family, which is the same at every input phase.
 
     Input phase phi_j multiplies coefficient j of every outcome by
     exp(-i phi_j), and phi_0 = 0 leaves the leading coefficient alone. When
@@ -183,15 +183,28 @@ def optimize_phases(mbs: MbsDevice, subset, n_starts: int = 32, seed: int = 0,
     rotations do not depend on phi either, so C(phi) = D C(0) D with the
     unitary D = diag(exp(-i phi_j)), j >= 1: every singular value of C, and
     hence both norms and the asymptotic infidelity coefficient, is the same
-    at all phases. The precondition holds on all 35 families of the shipped
-    7-port device, whose smallest leading magnitude is 0.147.
+    at all phases. All 35 families of the shipped 7-port device meet that
+    precondition; their smallest leading magnitude is 0.147. An outcome
+    whose leading coefficient vanishes is anchored on a later coefficient k
+    and picks up exp(2i phi_k), so C(phi) = sum_k exp(2i phi_k) D C_k(0) D,
+    with C_k the C Gram of the outcomes anchored at k. The norm is still phase-invariant
+    when outcomes with different anchors reach disjoint inputs, as on the
+    identity device, because C is then block diagonal; otherwise it can
+    depend on phi, and :class:`DegenerateInput` is raised.
 
     Returns ``(PovmFamily, norm)`` of the zero-phase family. ``n_starts``
-    and ``seed`` are accepted for compatibility and no longer change the
+    and ``seed`` are accepted for compatibility and do not change the
     result.
     """
     family = PovmFamily(subset, np.zeros(len(subset)))
     povm = effects_from_family(mbs, family)
+    above = np.abs(povm.effects) > GAUGE_FLOOR
+    anchor_of = np.eye(povm.dim, dtype=int)[above.argmax(axis=1)]
+    # outcomes per (input j >= 1, anchor): one anchor per input keeps C block diagonal
+    if np.any(np.count_nonzero(above[:, 1:].T @ anchor_of, axis=1) > 1):
+        raise DegenerateInput(
+            f"subset {family.subset}: outcomes gauged on different coefficients reach a "
+            "common input, so the C norm can depend on the input phases")
     return family, matrix_norm(_c_gram(povm.effects), norm_kind)
 
 

@@ -195,17 +195,15 @@ def run_sweep(cfg: SweepConfig, povm: Povm | None = None, workers: int = 1) -> S
     if cfg.noise.systematic_epsilon > 0:
         povm = perturb_effects(povm, cfg.noise.systematic_epsilon,
                                np.random.default_rng(np.random.SeedSequence(cfg.seed)))
-    # the built POVM and state travel to the workers once per chunk, unvalidated
+    # the built POVM and state travel to the workers with each trial, unvalidated
     row_of = partial(_sweep_row, povm, rho, cfg)
     items = [(i, n, t) for i, n in enumerate(cfg.n_grid) for t in range(cfg.repetitions)]
     # the fork start method launches every requested process at the first submit
     workers = min(workers, len(items))
-    # one chunk per worker, so no worker idles while another runs a second chunk
-    chunk = -(-len(items) // workers)
     rows = []
     try:
         with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-            for row in pool.map(row_of, items, chunksize=chunk) if pool else map(row_of, items):
+            for row in pool.map(row_of, items) if pool else map(row_of, items):
                 rows.append(row)
     except Exception as exc:
         partial_result = SweepResult(rows=tuple(rows), partial=True)

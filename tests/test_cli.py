@@ -119,6 +119,14 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "1.732051" in out  # frobenius norm of the 3x3 identity C
 
+    def test_design_refuses_phase_dependent_family(self, tmp_path, capsys):
+        device = tmp_path / "three.txt"
+        r = np.sqrt(0.5)
+        rows = [[r, 0.5, 0.5], [r, -0.5, -0.5], [0.0, r, -r]]
+        device.write_text("\n".join(" ".join(f"{v:+.17f}+0j" for v in row) for row in rows) + "\n")
+        assert run_cli("design", "--device", str(device), "--dim", "2") == 1
+        assert "(1, 2)" in capsys.readouterr().err
+
     def test_device_file_is_projected_like_the_builtin(self, tmp_path, capsys):
         device = tmp_path / "u7.txt"
         device.write_text(asset_text(U7_NAME))

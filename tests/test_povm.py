@@ -155,6 +155,27 @@ class TestOptimizePhases:
         assert zero_norm == pytest.approx(1.0, abs=1e-12)
         assert best == pytest.approx(1.0, abs=1e-9)
 
+    def test_shared_input_behind_vanishing_lead_raises(self):
+        # outcome 3 has no leading coefficient and shares input 2 with outcomes
+        # 1 and 2, so C(phi) = (exp(-2i phi) + 1) / 2 moves from 1 to 0
+        r = np.sqrt(0.5)
+        dev = load_mbs(np.array([[r, 0.5, 0.5], [r, -0.5, -0.5], [0.0, r, -r]]))
+        assert c_norm(effects_from_family(dev, (1, 2))) == pytest.approx(1.0, abs=1e-12)
+        assert c_norm(effects_from_family(dev, (1, 2), [0.0, np.pi / 2])) < 1e-12
+        with pytest.raises(DegenerateInput, match="input phases"):
+            optimize_phases(dev, (1, 2))
+        assert optimize_phases(dev, (2, 3))[1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_disjoint_anchor_blocks_are_phase_invariant(self):
+        # outcomes 3 and 4 are anchored on input 2 and alone reach inputs 2 and 3
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        dev = load_mbs(np.kron(np.eye(2), h))
+        _, best = optimize_phases(dev, (1, 2, 3, 4))
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            phases = np.concatenate(([0.0], rng.uniform(0.0, 2.0 * np.pi, 3)))
+            assert c_norm(effects_from_family(dev, (1, 2, 3, 4), phases)) == pytest.approx(best, abs=1e-12)
+
     def test_never_exceeds_zero_phase_norm(self, device):
         for subset in [(4, 5, 6, 7), (1, 2, 3, 4), (2, 3, 5, 7)]:
             zero_norm = c_norm(effects_from_family(device, subset))
