@@ -44,10 +44,11 @@ def _family_povm(args):
     return effects_from_family(load_device(args.device), args.subset, args.phases)
 
 
-def _write_run(args, text: str, extra: dict | None = None) -> None:
+def _write_run(args, text: str, extra: dict | None = None, unhashed: tuple = ()) -> None:
     """Write ``--out`` and its sidecar, hashing every argument except the output
-    paths and the worker count, which leave ``text`` unchanged."""
-    run = {k: v for k, v in vars(args).items() if k not in ("func", "out", "plot", "workers")}
+    paths, the worker count and ``unhashed``, which leave ``text`` unchanged."""
+    skip = ("func", "out", "plot", "workers") + unhashed
+    run = {k: v for k, v in vars(args).items() if k not in skip}
     write_output(args.out, text, config_hash(run), args.seed, extra)
 
 
@@ -65,8 +66,7 @@ def cmd_design(args) -> int:
     families = enumerate_families(device.n_ports, dim)
     rows = []
     for subset in families:
-        family, norm = optimize_phases(device, subset, n_starts=args.starts,
-                                       seed=args.seed, norm_kind=args.norm)
+        family, norm = optimize_phases(device, subset, norm_kind=args.norm)
         rows.append((subset, norm, family.phases))
     rows.sort(key=lambda r: r[1])
     # the norm is phase-invariant (see optimize_phases): both norm columns agree
@@ -80,7 +80,7 @@ def cmd_design(args) -> int:
     winner = rows[0]
     sys.stdout.write(f"# winner: subset {winner[0]} with {args.norm} norm {winner[1]:.4f}\n")
     if args.out:
-        _write_run(args, table)
+        _write_run(args, table, unhashed=("starts", "seed"))
     return 0
 
 
@@ -131,7 +131,9 @@ def cmd_simulate(args) -> int:
     result = run_sweep(cfg, workers=args.workers)
     table = sweep_table_text(result)
     if args.out:
-        _write_run(args, table, extra={"rows": len(result.rows)})
+        _write_run(args, table, extra={"rows": len(result.rows),
+                                       "estimates_at_bound": result.n_at_bound,
+                                       "estimates_not_converged": result.n_not_converged})
     else:
         sys.stdout.write(table)
     if args.plot:
@@ -179,11 +181,13 @@ def cmd_report(args) -> int:
     table = read_sweep_table(args.infile)
     dim = args.dim
     lines = [f"sweep report ({len(table)} trials)", ""]
-    lines.append(f"{'N':>10}  {'mean infid':>12}  {'median':>12}  {'GM (d-1)/N':>12}")
+    lines.append(f"{'N':>10}  {'mean infid':>12}  {'median':>12}  {'GM (d-1)/N':>12}  "
+                 f"{'N*mean infid +/- SE':>21}")
     for n in np.unique(table[:, 0]):
         sel = table[table[:, 0] == n, 2]
+        se = sel.std(ddof=1) / np.sqrt(sel.size) if sel.size > 1 else np.nan
         lines.append(f"{int(n):>10}  {sel.mean():>12.4e}  {np.median(sel):>12.4e}  "
-                     f"{(dim - 1) / n:>12.4e}")
+                     f"{(dim - 1) / n:>12.4e}  {n * sel.mean():>10.4f} +/- {n * se:.4f}")
     fit = fit_power_law(table[:, :3:2])
     lines.append("")
     lines.append(f"power-law fit: infidelity ~ {fit.coefficient:.3f} * N^{fit.exponent:.3f} "

@@ -89,9 +89,10 @@ def qfim_pure(theta, dim: int | None = None) -> FisherBlocks:
 
 
 def _c_gram(rows: np.ndarray) -> np.ndarray:
-    """C_jk = sum_eta a_j^eta a_k^eta (j, k >= 1) of coefficient rows, unconjugated."""
-    block = rows[:, 1:]                   # (n_outcomes, d-1)
-    return block.T @ block
+    """C_jk = sum_eta a_j^eta a_k^eta (j, k >= 1) of coefficient rows, unconjugated;
+    a stack of row sets gives a stack of C matrices."""
+    block = rows[..., 1:]                 # (..., n_outcomes, d-1)
+    return block.mT @ block
 
 
 def c_matrix(povm) -> np.ndarray:
@@ -111,9 +112,14 @@ def c_norm(povm, kind: str = "spectral") -> float:
 
 def matrix_norm(mat: np.ndarray, kind: str = "spectral") -> float:
     """Same norm choice applied to an arbitrary matrix."""
+    return float(np.linalg.norm(mat, _norm_ord(kind)))
+
+
+def _norm_ord(kind: str):
+    """``np.linalg.norm`` order of a norm kind."""
     if kind not in NORM_KINDS:
         raise InvalidInput(f"norm kind must be one of {NORM_KINDS}, got {kind!r}")
-    return float(np.linalg.norm(mat, 2 if kind == "spectral" else "fro"))
+    return 2 if kind == "spectral" else "fro"
 
 
 def cfim_first_order(povm) -> FisherBlocks:

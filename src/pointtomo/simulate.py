@@ -18,7 +18,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import InvalidInput, SweepError
-from .estimator import BootstrapResult, MleConfig, bootstrap_infidelity, estimate_state
+from .estimator import (BootstrapResult, MleConfig, bootstrap_infidelity, estimate_state,
+                        estimate_theta)
 from .povm import Povm, effects_from_family, gauge_fix_effects, load_device
 from .states import (DensityMatrix, StateVector, born_probabilities, depolarize,
                      equal_deviation_state, fiducial_state, fidelity)
@@ -75,15 +76,24 @@ class TrialResult:
     counts: np.ndarray
     estimate: StateVector
     infidelity: float
+    at_bound: bool                    # the estimate sits on the chart bound
+    converged: bool                   # the estimator's projected-gradient test passed
     bootstrap: BootstrapResult | None = None
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """All trial rows of a sweep; ``partial`` marks an aborted sweep."""
+    """All trial rows of a sweep; ``partial`` marks an aborted sweep.
+
+    ``n_at_bound`` and ``n_not_converged`` count the trials whose point
+    estimate sits on the chart bound or failed the convergence test; they
+    are not part of the table.
+    """
 
     rows: tuple                       # (n, trial, infidelity, boot_low, q25, median, q75, boot_high)
     partial: bool = False
+    n_at_bound: int = 0
+    n_not_converged: int = 0
 
     COLUMNS = ("N", "trial", "infidelity", "boot_low", "boot_q25",
                "boot_median", "boot_q75", "boot_high")
@@ -148,16 +158,18 @@ def run_trial(state: DensityMatrix, povm: Povm, n: int, rng,
     probs = born_probabilities(povm, state)
     counts = sample_counts(probs, n, rng)
     if n == 0:
-        estimate, boot = fiducial_state(povm.dim), None
+        estimate, at_bound, converged, boot = fiducial_state(povm.dim), False, True, None
     else:
         try:
-            estimate = estimate_state(counts, povm, mle)
+            mle_result = estimate_theta(counts, povm, mle)
             boot = (bootstrap_infidelity(counts, povm, state, n_boot, boot_rng, mle)
                     if n_boot > 0 else None)
         except Exception as exc:
             raise type(exc)(f"trial with N={n} failed: {exc}") from exc
+        estimate, at_bound, converged = mle_result.state, mle_result.at_bound, mle_result.converged
     return TrialResult(n=n, counts=counts, estimate=estimate,
-                       infidelity=1.0 - fidelity(estimate, state), bootstrap=boot)
+                       infidelity=1.0 - fidelity(estimate, state), at_bound=at_bound,
+                       converged=converged, bootstrap=boot)
 
 
 def sweep_povm(cfg: SweepConfig) -> Povm:
@@ -171,12 +183,13 @@ def prepared_state(cfg: SweepConfig, dim: int) -> DensityMatrix:
 
 
 def _sweep_row(povm: Povm, rho: DensityMatrix, cfg: SweepConfig, item) -> tuple:
-    """Table row of trial ``t`` at grid index ``i`` (ensemble size ``n``)."""
+    """Table row of trial ``t`` at grid index ``i`` (ensemble size ``n``), with
+    the point estimate's ``at_bound`` and ``converged`` flags."""
     i, n, t = item
     trial = run_trial(rho, povm, n, trial_rng(cfg.seed, i, t), cfg.mle, cfg.n_boot,
                       trial_rng(cfg.seed, i, t, stream=1))
     boot = (np.nan,) * 5 if trial.bootstrap is None else trial.bootstrap.as_row()
-    return (float(n), float(t), trial.infidelity) + boot
+    return (float(n), float(t), trial.infidelity) + boot, trial.at_bound, trial.converged
 
 
 def run_sweep(cfg: SweepConfig, povm: Povm | None = None, workers: int = 1) -> SweepResult:
@@ -200,15 +213,18 @@ def run_sweep(cfg: SweepConfig, povm: Povm | None = None, workers: int = 1) -> S
     items = [(i, n, t) for i, n in enumerate(cfg.n_grid) for t in range(cfg.repetitions)]
     # the fork start method launches every requested process at the first submit
     workers = min(workers, len(items))
-    rows = []
+    rows, at_bound, not_converged = [], 0, 0
     try:
         with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-            for row in pool.map(row_of, items) if pool else map(row_of, items):
+            for row, pinned, converged in pool.map(row_of, items) if pool else map(row_of, items):
                 rows.append(row)
+                at_bound += pinned
+                not_converged += not converged
     except Exception as exc:
-        partial_result = SweepResult(rows=tuple(rows), partial=True)
+        partial_result = SweepResult(rows=tuple(rows), partial=True, n_at_bound=at_bound,
+                                     n_not_converged=not_converged)
         raise SweepError(f"sweep aborted: {exc}", partial=partial_result) from exc
-    return SweepResult(rows=tuple(rows))
+    return SweepResult(rows=tuple(rows), n_at_bound=at_bound, n_not_converged=not_converged)
 
 
 def expected_infidelity_floor(rho: DensityMatrix, povm: Povm,

@@ -55,8 +55,11 @@ class TestSimulateCommand:
         device = tmp_path / "identity.txt"
         device.write_text("\n".join(" ".join("+1+0j" if i == j else "+0+0j"
                                              for j in range(4)) for i in range(4)) + "\n")
-        design = ("design", "--device", str(device), "--starts", "0")
+        design = ("design", "--device", str(device))
         assert digest(*design) != digest(*design, "--norm", "frobenius")
+        # --seed and --starts do not change the design table
+        assert digest(*design, "--seed", "0") == digest(*design, "--seed", "1")
+        assert digest(*design, "--starts", "0") == digest(*design, "--starts", "32")
         boot = ("bootstrap", "--counts", "40,30,20,5,3,1,1", "--seed", "4", "--boot", "10",
                 "--mle-starts", "1")
         assert digest(*boot, "--theta", "0.01") != digest(*boot, "--theta", "0.2")
@@ -64,6 +67,18 @@ class TestSimulateCommand:
                "--mle-starts", "1")
         assert (digest(*sim, "--workers", "1", name="a.csv")
                 == digest(*sim, "--workers", "2", name="b.csv"))
+
+    def test_sidecar_counts_pinned_and_unconverged_estimates(self, tmp_path):
+        # the N=1e3 plateau trials of test_plateau_monotone_and_floored: 2 of 12
+        # point estimates end on the chart bound
+        out = tmp_path / "plateau.csv"
+        assert run_cli("simulate", "--theta", "0.2", "--lambda", "0.987", "--n-grid", "1000",
+                       "--reps", "12", "--seed", "13", "--mle-starts", "4", "--workers", "1",
+                       "--out", str(out)) == 0
+        meta = json.loads((tmp_path / "plateau.meta.json").read_text())
+        assert meta["estimates_at_bound"] == 2
+        assert meta["estimates_not_converged"] == 0
+        assert len(read_sweep_table(str(out))) == meta["rows"] == 12
 
     def test_library_sweep_matches_cli(self, capsys):
         cfg = SweepConfig(theta_scalar=0.01, n_grid=(500,), repetitions=3, seed=7,
@@ -166,6 +181,18 @@ class TestOtherCommands:
         assert run_cli("report", str(table), "--plot", str(tmp_path / "r.svg")) == 0
         out = capsys.readouterr().out
         assert "power-law fit" in out
+        # last column: N times the mean infidelity, +/- N times its standard error
+        arr = read_sweep_table(str(table))
+        per_n = [line.split() for line in out.splitlines()
+                 if line.split() and line.split()[0] in ("100", "1000", "10000")]
+        assert len(per_n) == 3
+        for fields in per_n:
+            n = int(fields[0])
+            sel = arr[arr[:, 0] == n, 2]
+            assert fields[-2] == "+/-"
+            assert float(fields[-3]) == pytest.approx(n * sel.mean(), abs=5e-5)
+            se = n * sel.std(ddof=1) / np.sqrt(sel.size)
+            assert float(fields[-1]) == pytest.approx(se, abs=5e-5)
         assert (tmp_path / "r.svg").exists()
 
     def test_fit_missing_file_is_config_error(self, tmp_path):

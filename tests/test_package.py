@@ -43,7 +43,9 @@ def test_estimate_theta_calls_pure_probabilities(monkeypatch, family_povm):
 
 
 def test_run_sweep_calls_estimator_through_simulate(monkeypatch, family_povm):
-    estimates = count_calls(monkeypatch, simulate, "estimate_state")
+    # the point estimate goes through estimate_theta for its at_bound and
+    # converged flags; bootstrap replicas through estimator.estimate_state
+    estimates = count_calls(monkeypatch, simulate, "estimate_theta")
     boots = count_calls(monkeypatch, simulate, "bootstrap_infidelity")
     cfg = SweepConfig(theta_scalar=0.01, n_grid=(100,), repetitions=1, seed=1, n_boot=10,
                       mle=MleConfig(starts=1))

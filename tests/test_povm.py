@@ -193,7 +193,44 @@ class TestOptimizePhases:
         assert 0.61 <= best <= 0.65
 
 
+def _reference_unitary(n, rng):
+    """One Haar unitary per call, as drawn before the baseline was batched."""
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    diag = np.diag(r)
+    return q * (diag / np.abs(diag))
+
+
+def _reference_mean_c_norm(dim, n_outcomes, samples, rng, kind):
+    """Per-sample loop that the batched ``haar_mean_c_norm`` must reproduce."""
+    vals = np.empty(samples)
+    for i in range(samples):
+        block = _reference_unitary(n_outcomes, rng)[:, 1:dim]
+        vals[i] = matrix_norm(block.T @ block, kind)
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples))
+
+
 class TestHaarSampling:
+    @pytest.mark.parametrize("samples", [100, 1000, 10_000])
+    def test_batched_baseline_matches_per_sample_loop(self, samples):
+        # none of the sample counts is a multiple of the block size
+        for kind in NORM_KINDS:
+            rng, ref_rng = np.random.default_rng(samples), np.random.default_rng(samples)
+            got = haar_mean_c_norm(4, 7, samples, rng, kind=kind)
+            want = _reference_mean_c_norm(4, 7, samples, ref_rng, kind)
+            if kind == "spectral":
+                assert got == want
+            else:
+                assert got == pytest.approx(want, rel=1e-15, abs=0)
+            # the generator is left where the per-sample loop leaves it
+            assert rng.standard_normal() == ref_rng.standard_normal()
+
+    def test_unitary_matches_per_sample_reference(self):
+        for seed in (0, 1, 6, 987):
+            got = haar_random_unitary(7, np.random.default_rng(seed))
+            want = _reference_unitary(7, np.random.default_rng(seed))
+            assert np.array_equal(got, want)
+
     def test_unitary_is_unitary(self):
         rng = np.random.default_rng(6)
         u = haar_random_unitary(7, rng)

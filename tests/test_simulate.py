@@ -151,6 +151,9 @@ class TestRunSweep:
         cfg = SweepConfig(theta_scalar=0.2, n_grid=(1000, 10_000, 100_000), repetitions=12,
                           noise=NoiseConfig(lam=0.987), seed=13, mle=MleConfig(starts=4))
         res = run_sweep(cfg, povm=family_povm, workers=2)
+        # 2 of the 12 point estimates at N=1e3 end on the chart bound, none at
+        # larger N; the counts stay out of the table
+        assert (res.n_at_bound, res.n_not_converged) == (2, 0)
         arr = res.as_array()
         means, errs = [], []
         for n in sorted(set(arr[:, 0])):
@@ -215,7 +218,7 @@ class TestRunSweep:
 
     def test_trial_error_aborts_with_partial_flag(self, monkeypatch):
         calls = {"n": 0}
-        original = sim.estimate_state
+        original = sim.estimate_theta
 
         def flaky(counts, povm, cfg):
             calls["n"] += 1
@@ -223,7 +226,7 @@ class TestRunSweep:
                 raise RuntimeError("synthetic estimator failure")
             return original(counts, povm, cfg)
 
-        monkeypatch.setattr(sim, "estimate_state", flaky)
+        monkeypatch.setattr(sim, "estimate_theta", flaky)
         cfg = SweepConfig(theta_scalar=0.01, n_grid=(50,), repetitions=4, seed=1,
                           mle=MleConfig(starts=2))
         with pytest.raises(SweepError) as excinfo:
