@@ -133,7 +133,10 @@ def cmd_simulate(args) -> int:
     if args.out:
         _write_run(args, table, extra={"rows": len(result.rows),
                                        "estimates_at_bound": result.n_at_bound,
-                                       "estimates_not_converged": result.n_not_converged})
+                                       "estimates_not_converged": result.n_not_converged,
+                                       "replicas_at_bound": result.n_replicas_at_bound,
+                                       "replicas_not_converged":
+                                           result.n_replicas_not_converged})
     else:
         sys.stdout.write(table)
     if args.plot:
@@ -161,7 +164,9 @@ def cmd_bootstrap(args) -> int:
     table = "\n".join(lines) + "\n"
     sys.stdout.write(table)
     if args.out:
-        _write_run(args, table, extra={"resampling": "empirical-frequencies"})
+        _write_run(args, table, extra={"resampling": "empirical-frequencies",
+                                       "replicas_at_bound": res.n_at_bound,
+                                       "replicas_not_converged": res.n_not_converged})
     return 0
 
 

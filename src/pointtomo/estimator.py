@@ -10,6 +10,16 @@ numerically tied optima the point closest to the fiducial state is
 returned, which is the resolution appropriate to estimation in a trusted
 neighborhood (a handful of outcomes cannot distinguish all pure states
 globally).
+
+The descent runs on a stack of starts, each row with its own outcome
+weights: one objective call evaluates every running row, one stacked
+eigendecomposition gives their Newton steps, and each row keeps its own line
+search and stops on its own. :func:`estimate_theta` descends one count
+vector's starts as such a stack; :func:`bootstrap_infidelity` descends the
+starts of all its replicas together. Every per-row sum is taken
+elementwise, so a row's result does not depend on the stack it runs in: a
+bootstrap replica gets the same estimate, bit for bit, as
+:func:`estimate_theta` on the same counts.
 """
 
 from __future__ import annotations
@@ -24,6 +34,11 @@ from .errors import DegenerateInput, InvalidInput
 from .fisher import PROBABILITY_FLOOR
 from .states import StateVector, fidelity, neighborhood_state, pure_probabilities
 from .validation import check_counts
+
+# Replicas estimated per batch: bounds the (rows, K, 2m, 2m) curvature
+# temporaries of a large bootstrap. Rows are independent, so the block size
+# does not change any estimate.
+_REPLICA_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -76,7 +91,9 @@ def _linearized_theta(effects: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """First-order inversion of the Born probabilities around the fiducial.
 
     p_w(theta) = a0_w^2 + 2 a0_w Re(sum_j conj(a_jw) theta_j) + O(theta^2),
-    solved for theta by least squares.
+    solved for theta by least squares for each row of an (R, K) stack of
+    frequencies. The pseudo-inverse is applied by elementwise sums, so a
+    row's solution does not depend on the rest of the stack.
     """
     a0 = effects[:, 0].real
     d = effects.shape[1]
@@ -85,8 +102,7 @@ def _linearized_theta(effects: np.ndarray, freqs: np.ndarray) -> np.ndarray:
         caj = effects[:, j + 1].conj()
         design[:, j] = 2.0 * a0 * caj.real
         design[:, d - 1 + j] = -2.0 * a0 * caj.imag
-    x, *_ = np.linalg.lstsq(design, freqs - a0 ** 2, rcond=None)
-    return x
+    return (np.linalg.pinv(design) * (freqs - a0 ** 2)[:, None, :]).sum(axis=2)
 
 
 def _random_start(rng, m: int, radius: float) -> np.ndarray:
@@ -96,89 +112,167 @@ def _random_start(rng, m: int, radius: float) -> np.ndarray:
     return np.concatenate([t.real, t.imag])
 
 
-def _neg_log_likelihood(effects: np.ndarray, weights: np.ndarray):
-    """Objective x -> (value, gradient, Hessian) of the negative mean log-likelihood.
+def _neg_log_likelihood(effects: np.ndarray):
+    """Objective (x, weights) -> (values, gradients, Hessians) of the negative
+    mean log-likelihood, for a (B, 2m) stack of points x and a (B, K) stack of
+    outcome weights, one row per point; it returns (B,), (B, 2m) and
+    (B, 2m, 2m) arrays.
 
     x = (Re theta, Im theta). With v = (1, theta), z = conj(A) v and
     s = |v|^2, the model is p_e = |z_e|^2 / s, so -log p_e = -log |z_e|^2 +
     log s. z is affine in x with Jacobian J_e = (B_e, i B_e), B = conj(A)[:, 1:],
     so |z_e|^2 has gradient u_e = 2 Re(conj(z_e) J_e) and the constant Hessian
-    2 Re(J_e^H J_e). With W the total weight of the unfloored outcomes,
+    G_e = 2 Re(J_e^H J_e). With W the total weight of the unfloored outcomes,
 
         gradient = -sum_e w_e u_e / |z_e|^2 + 2 W x / s,
-        Hessian  = -sum_e w_e (2 Re(J_e^H J_e) / |z_e|^2 - u_e u_e^T / |z_e|^4)
+        Hessian  = -sum_e w_e (G_e / |z_e|^2 - u_e u_e^T / |z_e|^4)
                    + W (2 I / s - 4 x x^T / s^2).
 
     Outcomes at the probability floor contribute a constant to the value and
-    nothing to the gradient or Hessian.
+    nothing to the gradient or Hessian. Every sum over outcomes or
+    coordinates is an elementwise product summed along an axis, never a BLAS
+    product, so a row's result has the same bits in any stack.
     """
     m = effects.shape[1] - 1
     conj_effects = effects.conj()
     jac = np.concatenate([conj_effects[:, 1:], 1j * conj_effects[:, 1:]], axis=1)
-    jac_h = jac.conj().T
+    gram = 2.0 * (jac.conj()[:, :, None] * jac[:, None, :]).real     # G_e, (K, 2m, 2m)
     eye = np.eye(2 * m)
 
-    def objective(x):
-        v = np.concatenate(([1.0 + 0.0j], x[:m] + 1j * x[m:]))
-        s = 1.0 + x @ x
-        p = np.maximum(pure_probabilities(effects, v / np.sqrt(s)), PROBABILITY_FLOOR)
+    def objective(x, weights):
+        v = np.concatenate([np.ones((len(x), 1)), x[:, :m] + 1j * x[:, m:]], axis=1)
+        s = 1.0 + (x * x).sum(axis=1)
+        p = np.maximum(pure_probabilities(effects, v / np.sqrt(s)[:, None]),
+                       PROBABILITY_FLOOR)
         w = np.where(p > PROBABILITY_FLOOR, weights, 0.0)
-        r = w / (p * s)                                     # w_e / |z_e|^2
-        u = 2.0 * ((conj_effects @ v).conj()[:, None] * jac).real
-        total = w.sum()
-        grad = (2.0 * total / s) * x - r @ u
-        hess = ((u.T * (r / (p * s))) @ u - 2.0 * ((jac_h * r) @ jac).real
-                + total * ((2.0 / s) * eye - (4.0 / s ** 2) * np.outer(x, x)))
-        return -float(weights @ np.log(p)), grad, hess
+        z2 = p * s[:, None]                                              # |z_e|^2
+        r = w / z2
+        q = (conj_effects * v[:, None, :]).sum(axis=2).conj()[:, :, None] * conj_effects[:, 1:]
+        u = 2.0 * np.concatenate([q.real, -q.imag], axis=2)              # (B, K, 2m)
+        total = w.sum(axis=1)[:, None]
+        grad = (2.0 * total / s[:, None]) * x - (r[:, :, None] * u).sum(axis=1)
+        curvature = ((r / z2)[:, :, None, None] * u[:, :, :, None] * u[:, :, None, :]
+                     - r[:, :, None, None] * gram).sum(axis=1)
+        hess = curvature + total[:, :, None] * (
+            (2.0 / s)[:, None, None] * eye
+            - (4.0 / s ** 2)[:, None, None] * x[:, :, None] * x[:, None, :])
+        return -(weights * np.log(p)).sum(axis=1), grad, hess
 
     return objective
 
 
 def _newton_direction(x: np.ndarray, grad: np.ndarray, hess: np.ndarray,
                       bound: float) -> np.ndarray:
-    """Newton step on the coordinates that the gradient does not hold at a
-    face of the box; the Hessian's eigenvalues are taken in absolute value
-    (floored), so the step descends also where the objective is not convex."""
+    """Newton steps for a stack of rows, on the coordinates that the gradient
+    does not hold at a face of the box; the Hessian's eigenvalues are taken in
+    absolute value (floored), so a step descends also where the objective is
+    not convex. Held coordinates are decoupled by an identity block, so that
+    one stacked eigendecomposition serves every row, and do not move."""
     held = ((x >= bound) & (grad < 0)) | ((x <= -bound) & (grad > 0))
-    free = ~held
-    lam, vec = np.linalg.eigh(hess[np.ix_(free, free)])
-    lam = np.maximum(np.abs(lam), 1e-10 * max(1.0, np.abs(lam).max()))
-    step = np.zeros_like(x)
-    step[free] = -vec @ ((vec.T @ grad[free]) / lam)
-    return step
+    hess = np.where(held[:, :, None] | held[:, None, :], np.eye(x.shape[1]), hess)
+    lam, vec = np.linalg.eigh(hess)
+    lam = np.abs(lam)
+    lam = np.maximum(lam, 1e-10 * np.maximum(1.0, lam.max(axis=1, keepdims=True)))
+    coef = (vec * np.where(held, 0.0, grad)[:, :, None]).sum(axis=1) / lam
+    return np.where(held, 0.0, -(vec * coef[:, None, :]).sum(axis=2))
 
 
-def _descend(objective, x: np.ndarray, cfg: MleConfig) -> tuple:
-    """Box-projected Newton iteration with a backtracking line search.
+def _descend(objective, x: np.ndarray, weights: np.ndarray, cfg: MleConfig) -> tuple:
+    """Box-projected Newton iteration with a backtracking line search, run on a
+    (B, 2m) stack of starts; row b descends the objective of ``weights[b]``.
 
-    Returns (value, x, converged), where converged is the outcome of the
-    projected-gradient test max |x - P(x - grad)| <= cfg.tolerance, P being
-    the projection onto the chart box. A step is accepted on a sufficient
-    decrease of the value, relaxed by the value's rounding error, because
-    the last Newton steps lower it by less than one unit in the last place.
+    Returns (values, x, converged), one entry per row, where converged is the
+    outcome of the projected-gradient test max |x - P(x - grad)| <= cfg.tolerance,
+    P being the projection onto the chart box. Each row keeps its own step
+    length and stops on its own: when it passes the test, after
+    cfg.max_iterations steps, or, unconverged, when its step length falls
+    below 1e-10. A step is accepted on a sufficient decrease of the value,
+    relaxed by the value's rounding error, because the last Newton steps
+    lower it by less than one unit in the last place. Each pass makes one
+    objective call, at the trial points of the rows still running.
     """
     bound = cfg.chart_bound
+    x = np.array(x, dtype=float)
+    f, grad, hess = objective(x, weights)
+    converged = np.zeros(len(x), dtype=bool)
+    steps = np.zeros(len(x), dtype=int)
+    t = np.ones(len(x))
+    direction = np.zeros_like(x)
 
-    def stationary(x, grad):
-        return bool(np.max(np.abs(x - np.clip(x - grad, -bound, bound))) <= cfg.tolerance)
+    def settle(rows):
+        """Stop the rows that pass the test or have taken their last step; give
+        the others a Newton direction. Returns the rows still running."""
+        ok = np.max(np.abs(x[rows] - np.clip(x[rows] - grad[rows], -bound, bound)),
+                    axis=1) <= cfg.tolerance
+        converged[rows] = ok
+        rows = rows[~ok & (steps[rows] < cfg.max_iterations)]
+        direction[rows] = _newton_direction(x[rows], grad[rows], hess[rows], bound)
+        t[rows] = 1.0
+        return rows
 
-    f, grad, hess = objective(x)
-    for _ in range(cfg.max_iterations):
-        if stationary(x, grad):
-            return f, x, True
-        direction = _newton_direction(x, grad, hess, bound)
-        slack = 4.0 * np.finfo(float).eps * abs(f)
-        t = 1.0
-        while True:
-            x_new = np.clip(x + t * direction, -bound, bound)
-            f_new, grad_new, hess_new = objective(x_new)
-            if f_new <= f + 1e-4 * min(grad @ (x_new - x), 0.0) + slack:
-                break
-            t *= 0.5
-            if t < 1e-10:
-                return f, x, False
-        f, x, grad, hess = f_new, x_new, grad_new, hess_new
-    return f, x, stationary(x, grad)
+    run = settle(np.arange(len(x)))
+    while run.size:
+        trial = np.clip(x[run] + t[run, None] * direction[run], -bound, bound)
+        f_new, grad_new, hess_new = objective(trial, weights[run])
+        slack = 4.0 * np.finfo(float).eps * np.abs(f[run])
+        decrease = np.minimum((grad[run] * (trial - x[run])).sum(axis=1), 0.0)
+        accept = f_new <= f[run] + 1e-4 * decrease + slack
+        moved, back = run[accept], run[~accept]
+        x[moved], f[moved] = trial[accept], f_new[accept]
+        grad[moved], hess[moved] = grad_new[accept], hess_new[accept]
+        steps[moved] += 1
+        t[back] *= 0.5
+        run = np.concatenate([settle(moved), back[t[back] >= 1e-10]])
+    return f, x, converged
+
+
+def _estimate_rows(effects: np.ndarray, counts: np.ndarray, cfg: MleConfig) -> list:
+    """One :class:`MleResult` per row of an (R, K) stack of validated counts.
+
+    The two fixed starts of every row descend as one batch. The rows whose
+    fixed starts end at different optima or on the chart bound then get
+    cfg.starts random starts each, all in a second batch; the random starts
+    are a function of the config only, the same for every row.
+    """
+    m = effects.shape[1] - 1
+    bound = cfg.chart_bound
+    weights = counts / counts.sum(axis=1, keepdims=True)
+    objective = _neg_log_likelihood(effects)
+
+    def at_bound(x):
+        return bool(np.max(np.abs(x)) >= bound * (1.0 - 1e-9))
+
+    def tie_tol(best):
+        return 50.0 * max(cfg.tolerance, 1e-14) * max(1.0, abs(best))
+
+    linearized = np.clip(_linearized_theta(effects, weights), -bound, bound)
+    x0 = np.stack([np.zeros_like(linearized), linearized], axis=1).reshape(-1, 2 * m)
+    f, x, ok = _descend(objective, x0, np.repeat(weights, 2, axis=0), cfg)
+    candidates = [list(zip(f[i:i + 2], x[i:i + 2], ok[i:i + 2])) for i in range(0, len(f), 2)]
+    retry = [row for row, ((f0, xa, _), (f1, xb, _)) in enumerate(candidates)
+             if abs(f0 - f1) > tie_tol(min(f0, f1)) or at_bound(xa) or at_bound(xb)]
+    if retry:
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+        starts = np.array([_random_start(rng, m, cfg.start_radius) for _ in range(cfg.starts)])
+        f, x, ok = _descend(objective, np.tile(starts, (len(retry), 1)),
+                            np.repeat(weights[retry], cfg.starts, axis=0), cfg)
+        for i, row in enumerate(retry):
+            block = slice(i * cfg.starts, (i + 1) * cfg.starts)
+            candidates[row].extend(zip(f[block], x[block], ok[block]))
+
+    picks = []
+    for found in candidates:
+        best = min(f for f, _, _ in found)
+        tied = [(x, ok) for f, x, ok in found if f <= best + tie_tol(best)]
+        x_star, converged = min(tied, key=lambda t: float(t[0] @ t[0]))
+        picks.append((x_star[:m] + 1j * x_star[m:], len(found), len(tied), bool(converged),
+                      at_bound(x_star)))
+    amps = np.array([neighborhood_state(theta).amps for theta, *_ in picks])
+    p = pure_probabilities(effects, amps)
+    logliks = (counts * np.log(np.maximum(p, PROBABILITY_FLOOR))).sum(axis=1)
+    return [MleResult(theta=theta, log_likelihood=float(loglik), n_candidates=n_candidates,
+                      n_tied=n_tied, converged=converged, at_bound=pinned)
+            for (theta, n_candidates, n_tied, converged, pinned), loglik in zip(picks, logliks)]
 
 
 def estimate_theta(counts, povm, cfg: MleConfig = MleConfig()) -> MleResult:
@@ -187,37 +281,8 @@ def estimate_theta(counts, povm, cfg: MleConfig = MleConfig()) -> MleResult:
     ``counts`` may be integer counts or exact real frequencies. The result
     is deterministic given (cfg, counts).
     """
-    effects = povm.effects
-    counts = check_counts(counts, effects.shape[0])
-    total = counts.sum()
-    weights = counts / total
-    m = effects.shape[1] - 1
-    objective = _neg_log_likelihood(effects, weights)
-
-    def at_bound(x):
-        return bool(np.max(np.abs(x)) >= cfg.chart_bound * (1.0 - 1e-9))
-
-    def tie_tol(best):
-        return 50.0 * max(cfg.tolerance, 1e-14) * max(1.0, abs(best))
-
-    x0s = [np.zeros(2 * m), np.clip(_linearized_theta(effects, weights),
-                                    -cfg.chart_bound, cfg.chart_bound)]
-    candidates = [_descend(objective, x0, cfg) for x0 in x0s]
-    (f0, xa, _), (f1, xb, _) = candidates
-    if abs(f0 - f1) > tie_tol(min(f0, f1)) or at_bound(xa) or at_bound(xb):
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-        candidates.extend(_descend(objective, _random_start(rng, m, cfg.start_radius), cfg)
-                          for _ in range(cfg.starts))
-
-    best = min(f for f, _, _ in candidates)
-    tied = [(x, ok) for f, x, ok in candidates if f <= best + tie_tol(best)]
-    x_star, converged = min(tied, key=lambda t: float(t[0] @ t[0]))
-    theta = x_star[:m] + 1j * x_star[m:]
-    p = pure_probabilities(effects, neighborhood_state(theta).amps)
-    loglik = float(counts @ np.log(np.maximum(p, PROBABILITY_FLOOR)))
-    return MleResult(theta=theta, log_likelihood=loglik,
-                     n_candidates=len(candidates), n_tied=len(tied),
-                     converged=converged, at_bound=at_bound(x_star))
+    counts = check_counts(counts, povm.effects.shape[0])
+    return _estimate_rows(povm.effects, counts[None, :], cfg)[0]
 
 
 def estimate_state(counts, povm, cfg: MleConfig = MleConfig()) -> StateVector:
@@ -234,6 +299,8 @@ class BootstrapResult:
     q75: float
     n_boot: int
     degenerate: bool = False
+    n_at_bound: int = 0               # replica estimates on the chart bound
+    n_not_converged: int = 0          # replica estimates that failed the convergence test
 
     def as_row(self) -> tuple:
         return (self.low, self.q25, self.median, self.q75, self.high)
@@ -243,9 +310,14 @@ def bootstrap_infidelity(counts, povm, reference, n_boot: int, rng,
                          cfg: MleConfig = MleConfig()) -> BootstrapResult:
     """Bootstrap spread of the infidelity versus a fixed reference state.
 
-    Counts are resampled multinomially from the empirical frequencies, each
-    replica is re-estimated, and the infidelity of every replica estimate
-    against ``reference`` (a DensityMatrix) is collected.
+    Counts are resampled multinomially from the empirical frequencies, all
+    replicas in one draw, which gives the same replicas as one draw per
+    replica in turn. The replicas are estimated in batches of up to
+    ``_REPLICA_BLOCK``, each exactly as :func:`estimate_theta` would, and
+    the infidelity of every replica estimate against ``reference`` (a
+    DensityMatrix) is collected.
+    Degenerate counts (a single observed outcome) are estimated once, not
+    resampled, and report no replica estimates on the bound or unconverged.
     """
     if n_boot < 10:
         raise InvalidInput("need n_boot >= 10")
@@ -258,15 +330,19 @@ def bootstrap_infidelity(counts, povm, reference, n_boot: int, rng,
         value = 1.0 - fidelity(est, reference)
         return BootstrapResult(low=value, high=value, q25=value, median=value,
                                q75=value, n_boot=n_boot, degenerate=True)
-    values = np.empty(n_boot)
-    for b in range(n_boot):
-        resampled = rng.multinomial(n, freqs)
-        est = estimate_state(resampled, povm, cfg)
-        values[b] = 1.0 - fidelity(est, reference)
+    if n < 1:
+        raise InvalidInput(f"counts must total at least 1 to be resampled, got {total}")
+    replicas = rng.multinomial(n, freqs, size=n_boot).astype(float)
+    estimates = [est for start in range(0, n_boot, _REPLICA_BLOCK)
+                 for est in _estimate_rows(povm.effects,
+                                           replicas[start:start + _REPLICA_BLOCK], cfg)]
+    values = np.array([1.0 - fidelity(est.state, reference) for est in estimates])
     q25, med, q75 = np.quantile(values, [0.25, 0.5, 0.75])
     return BootstrapResult(low=float(values.min()), high=float(values.max()),
                            q25=float(q25), median=float(med), q75=float(q75),
-                           n_boot=n_boot)
+                           n_boot=n_boot,
+                           n_at_bound=sum(est.at_bound for est in estimates),
+                           n_not_converged=sum(not est.converged for est in estimates))
 
 
 def fit_power_law(points) -> FitResult:

@@ -86,14 +86,17 @@ class SweepResult:
     """All trial rows of a sweep; ``partial`` marks an aborted sweep.
 
     ``n_at_bound`` and ``n_not_converged`` count the trials whose point
-    estimate sits on the chart bound or failed the convergence test; they
-    are not part of the table.
+    estimate sits on the chart bound or failed the convergence test, and
+    ``n_replicas_at_bound`` and ``n_replicas_not_converged`` the same over
+    every trial's bootstrap replicas; they are not part of the table.
     """
 
     rows: tuple                       # (n, trial, infidelity, boot_low, q25, median, q75, boot_high)
     partial: bool = False
     n_at_bound: int = 0
     n_not_converged: int = 0
+    n_replicas_at_bound: int = 0
+    n_replicas_not_converged: int = 0
 
     COLUMNS = ("N", "trial", "infidelity", "boot_low", "boot_q25",
                "boot_median", "boot_q75", "boot_high")
@@ -184,12 +187,16 @@ def prepared_state(cfg: SweepConfig, dim: int) -> DensityMatrix:
 
 def _sweep_row(povm: Povm, rho: DensityMatrix, cfg: SweepConfig, item) -> tuple:
     """Table row of trial ``t`` at grid index ``i`` (ensemble size ``n``), with
-    the point estimate's ``at_bound`` and ``converged`` flags."""
+    its optimizer outcome counts: (point estimate on the bound, point estimate
+    unconverged, replicas on the bound, replicas unconverged)."""
     i, n, t = item
     trial = run_trial(rho, povm, n, trial_rng(cfg.seed, i, t), cfg.mle, cfg.n_boot,
                       trial_rng(cfg.seed, i, t, stream=1))
-    boot = (np.nan,) * 5 if trial.bootstrap is None else trial.bootstrap.as_row()
-    return (float(n), float(t), trial.infidelity) + boot, trial.at_bound, trial.converged
+    boot = trial.bootstrap
+    row = (float(n), float(t), trial.infidelity) + ((np.nan,) * 5 if boot is None
+                                                     else boot.as_row())
+    replicas = (0, 0) if boot is None else (boot.n_at_bound, boot.n_not_converged)
+    return row, (int(trial.at_bound), int(not trial.converged)) + replicas
 
 
 def run_sweep(cfg: SweepConfig, povm: Povm | None = None, workers: int = 1) -> SweepResult:
@@ -213,18 +220,16 @@ def run_sweep(cfg: SweepConfig, povm: Povm | None = None, workers: int = 1) -> S
     items = [(i, n, t) for i, n in enumerate(cfg.n_grid) for t in range(cfg.repetitions)]
     # the fork start method launches every requested process at the first submit
     workers = min(workers, len(items))
-    rows, at_bound, not_converged = [], 0, 0
+    rows, outcomes = [], (0, 0, 0, 0)   # SweepResult's outcome counts, in field order
     try:
         with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-            for row, pinned, converged in pool.map(row_of, items) if pool else map(row_of, items):
+            for row, counts in pool.map(row_of, items) if pool else map(row_of, items):
                 rows.append(row)
-                at_bound += pinned
-                not_converged += not converged
+                outcomes = tuple(a + b for a, b in zip(outcomes, counts))
     except Exception as exc:
-        partial_result = SweepResult(rows=tuple(rows), partial=True, n_at_bound=at_bound,
-                                     n_not_converged=not_converged)
-        raise SweepError(f"sweep aborted: {exc}", partial=partial_result) from exc
-    return SweepResult(rows=tuple(rows), n_at_bound=at_bound, n_not_converged=not_converged)
+        raise SweepError(f"sweep aborted: {exc}",
+                         partial=SweepResult(tuple(rows), True, *outcomes)) from exc
+    return SweepResult(tuple(rows), False, *outcomes)
 
 
 def expected_infidelity_floor(rho: DensityMatrix, povm: Povm,

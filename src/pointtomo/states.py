@@ -135,5 +135,11 @@ def born_probabilities(povm, rho: DensityMatrix) -> np.ndarray:
 
 
 def pure_probabilities(effects: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """|<a^eta|psi>|^2 for every outcome; fast path used by the estimator."""
-    return np.abs(effects.conj() @ amps) ** 2
+    """|<a^eta|psi>|^2 for every outcome; fast path used by the estimator.
+
+    ``amps`` is one amplitude vector (d,) or a stack (B, d), giving (K,) or
+    (B, K). Each overlap is an elementwise product summed over the d
+    amplitudes, not a BLAS product, so a row of a stack gets the same bits as
+    the 1-D call on that row, whatever the stack's size.
+    """
+    return np.abs((effects.conj() * amps[..., None, :]).sum(axis=-1)) ** 2

@@ -8,7 +8,9 @@ from pointtomo.cli import main
 from pointtomo.io import (atomic_write_text, metadata_record, read_sweep_table,
                           sweep_table_text)
 from pointtomo.estimator import MleConfig
-from pointtomo.simulate import NoiseConfig, SweepConfig, SweepResult, run_sweep
+from pointtomo.simulate import (NoiseConfig, SweepConfig, SweepResult, run_sweep, run_trial,
+                                trial_rng)
+from pointtomo.states import depolarize, equal_deviation_state
 
 
 def run_cli(*argv):
@@ -79,6 +81,24 @@ class TestSimulateCommand:
         assert meta["estimates_at_bound"] == 2
         assert meta["estimates_not_converged"] == 0
         assert len(read_sweep_table(str(out))) == meta["rows"] == 12
+
+    def test_sidecars_count_replica_outcomes(self, tmp_path, family_povm):
+        # N=100 at theta=0.2, lambda=0.987: some bootstrap replicas end on the bound
+        out = tmp_path / "boot.csv"
+        assert run_cli("simulate", "--theta", "0.2", "--lambda", "0.987", "--n-grid", "100",
+                       "--reps", "3", "--boot", "10", "--seed", "13", "--workers", "1",
+                       "--out", str(out)) == 0
+        meta = json.loads((tmp_path / "boot.meta.json").read_text())
+        rho = depolarize(equal_deviation_state(0.2), 0.987)
+        boots = [run_trial(rho, family_povm, 100, trial_rng(13, 0, t), MleConfig(), 10,
+                           trial_rng(13, 0, t, stream=1)).bootstrap for t in range(3)]
+        assert meta["replicas_at_bound"] == sum(b.n_at_bound for b in boots) > 0
+        assert meta["replicas_not_converged"] == sum(b.n_not_converged for b in boots)
+        assert run_cli("bootstrap", "--theta", "0.2", "--lambda", "0.987", "--n", "100",
+                       "--boot", "10", "--seed", "13", "--out", str(out)) == 0
+        meta = json.loads((tmp_path / "boot.meta.json").read_text())
+        assert (meta["replicas_at_bound"], meta["replicas_not_converged"]) == \
+            (boots[0].n_at_bound, boots[0].n_not_converged)
 
     def test_library_sweep_matches_cli(self, capsys):
         cfg = SweepConfig(theta_scalar=0.01, n_grid=(500,), repetitions=3, seed=7,

@@ -31,12 +31,18 @@ def central_differences(objective, x, h, part=0):
                      / (12.0 * h) for e in np.eye(x.size)])
 
 
+def row_objective(effects, weights):
+    """The batched objective on one point: x -> (value, gradient, Hessian)."""
+    objective = _neg_log_likelihood(effects)
+    return lambda x: tuple(part[0] for part in objective(x[None, :], weights[None, :]))
+
+
 def chart_box_points(family_povm):
     """20 (objective, x) pairs: random weights, x uniform in the chart box."""
     rng = np.random.default_rng(23)
     bound = MleConfig().chart_bound
     for _ in range(20):
-        objective = _neg_log_likelihood(family_povm.effects, rng.dirichlet(np.ones(7)))
+        objective = row_objective(family_povm.effects, rng.dirichlet(np.ones(7)))
         yield objective, rng.uniform(-bound, bound, 6)
 
 
@@ -49,8 +55,8 @@ def below_floor_point(family_povm):
     h = 5e-7
     for y in (x, *(x + 2 * h * e for e in np.eye(6)), *(x - 2 * h * e for e in np.eye(6))):
         assert exact_frequencies(family_povm, y[:3] + 1j * y[3:])[3] < PROBABILITY_FLOOR
-    objective = _neg_log_likelihood(family_povm.effects,
-                                    np.random.default_rng(24).dirichlet(np.ones(7)))
+    objective = row_objective(family_povm.effects,
+                              np.random.default_rng(24).dirichlet(np.ones(7)))
     return objective, x, h
 
 
@@ -143,9 +149,10 @@ class TestStartPolicy:
         runs = []
         descend = estimator._descend
 
-        def recording(objective, x, cfg):
-            runs.append(descend(objective, x, cfg))
-            return runs[-1]
+        def recording(objective, x, weights, cfg):
+            result = descend(objective, x, weights, cfg)
+            runs.extend(zip(*result))
+            return result
 
         monkeypatch.setattr(estimator, "_descend", recording)
         cfg = MleConfig(starts=6)
@@ -213,10 +220,57 @@ class TestBootstrap:
                                    MleConfig(starts=4))
         assert res.low <= res.q25 <= res.median <= res.q75 <= res.high
 
+    @pytest.mark.parametrize("n", [100, 10_000])
+    def test_batched_replicas_match_the_per_replica_loop(self, family_povm, monkeypatch, n):
+        rho = depolarize(equal_deviation_state(0.2), 0.987)
+        counts = np.random.default_rng(31).multinomial(n, born_probabilities(family_povm, rho))
+        batched = []
+        estimate_rows = estimator._estimate_rows
+
+        def recording(*args):
+            rows = estimate_rows(*args)
+            batched.extend(rows)
+            return rows
+
+        with monkeypatch.context() as patch:
+            patch.setattr(estimator, "_estimate_rows", recording)
+            res = bootstrap_infidelity(counts, family_povm, rho, 30, np.random.default_rng(32))
+        draws = np.random.default_rng(32)
+        loop = [estimate_theta(draws.multinomial(n, counts / counts.sum()), family_povm)
+                for _ in range(30)]
+
+        def outcomes(estimates):
+            return [(e.n_candidates, e.converged, e.at_bound) for e in estimates]
+
+        assert outcomes(batched) == outcomes(loop)
+        values = np.array([1.0 - fidelity(e.state, rho) for e in loop])
+        assert np.allclose([1.0 - fidelity(e.state, rho) for e in batched], values,
+                           rtol=1e-12, atol=0.0)
+        expected = (values.min(), *np.quantile(values, [0.25, 0.5, 0.75]), values.max())
+        assert np.allclose(res.as_row(), expected, rtol=1e-12, atol=0.0)
+        assert res.n_at_bound == sum(e.at_bound for e in loop)
+        assert res.n_not_converged == sum(not e.converged for e in loop)
+        if n == 100:
+            assert any(e.n_candidates > 2 for e in loop)
+
+    def test_replica_blocks_do_not_change_the_result(self, family_povm, monkeypatch):
+        rho = depolarize(equal_deviation_state(0.2), 0.987)
+        counts = np.random.default_rng(33).multinomial(300, born_probabilities(family_povm, rho))
+        whole = bootstrap_infidelity(counts, family_povm, rho, 30, np.random.default_rng(34))
+        monkeypatch.setattr(estimator, "_REPLICA_BLOCK", 7)
+        assert bootstrap_infidelity(counts, family_povm, rho, 30,
+                                    np.random.default_rng(34)) == whole
+
     def test_minimum_replicas(self, family_povm):
         rho = depolarize(fiducial_state(4), 1.0)
         with pytest.raises(InvalidInput):
             bootstrap_infidelity(np.ones(7), family_povm, rho, 9, np.random.default_rng(0))
+
+    def test_counts_below_one_copy_rejected(self, family_povm):
+        rho = depolarize(fiducial_state(4), 1.0)
+        with pytest.raises(InvalidInput):
+            bootstrap_infidelity(np.array([0.2, 0.2, 0, 0, 0, 0, 0]), family_povm, rho, 10,
+                                 np.random.default_rng(0))
 
 
 class TestFitPowerLaw:

@@ -36,15 +36,31 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_estimate_theta_calls_pure_probabilities(monkeypatch, family_povm):
+    # once per batched objective evaluation, whatever the number of rows, and
+    # once for the log-likelihood of the returned estimate
     calls = count_calls(monkeypatch, estimator, "pure_probabilities")
+    evaluations = []
+    build = estimator._neg_log_likelihood
+
+    def counting(effects):
+        objective = build(effects)
+
+        def counted(x, weights):
+            evaluations.append(len(x))
+            return objective(x, weights)
+        return counted
+
+    monkeypatch.setattr(estimator, "_neg_log_likelihood", counting)
     estimator.estimate_theta(np.array([40, 30, 20, 5, 3, 1, 1]), family_povm,
                              MleConfig(starts=1))
-    assert calls
+    assert evaluations[0] == 2
+    assert len(calls) == len(evaluations) + 1
 
 
 def test_run_sweep_calls_estimator_through_simulate(monkeypatch, family_povm):
     # the point estimate goes through estimate_theta for its at_bound and
-    # converged flags; bootstrap replicas through estimator.estimate_state
+    # converged flags; bootstrap replicas are estimated in batches inside
+    # bootstrap_infidelity
     estimates = count_calls(monkeypatch, simulate, "estimate_theta")
     boots = count_calls(monkeypatch, simulate, "bootstrap_infidelity")
     cfg = SweepConfig(theta_scalar=0.01, n_grid=(100,), repetitions=1, seed=1, n_boot=10,

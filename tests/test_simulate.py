@@ -4,15 +4,15 @@ import pytest
 import pointtomo.simulate as sim
 from pointtomo.cli import main
 from pointtomo.errors import InvalidInput, SweepError
-from pointtomo.estimator import MleConfig
+from pointtomo.estimator import MleConfig, estimate_theta
 from pointtomo.fisher import asymptotic_infidelity_coefficient, c_norm
 from pointtomo.povm import effects_from_family
 from pointtomo.io import sweep_table_text
 from pointtomo.simulate import (NoiseConfig, SweepConfig, expected_infidelity_floor,
                                 perturb_effects, prepared_state, run_sweep, run_trial,
                                 sample_counts, trial_rng)
-from pointtomo.states import (DensityMatrix, depolarize, equal_deviation_state, fidelity,
-                              fiducial_state)
+from pointtomo.states import (DensityMatrix, born_probabilities, depolarize,
+                              equal_deviation_state, fidelity, fiducial_state)
 
 
 class TestSampleCounts:
@@ -257,6 +257,21 @@ class TestRunSweep:
                 expected.append((float(n), float(t), trial.infidelity)
                                 + trial.bootstrap.as_row())
         assert run_sweep(cfg, povm=family_povm).rows == tuple(expected)
+
+    def test_rows_reproduce_standalone_point_estimates(self, family_povm):
+        # each row's infidelity is a standalone estimate_theta on the trial's
+        # regenerated counts, bit for bit, also when the trial bootstraps
+        cfg = SweepConfig(theta_scalar=0.2, n_grid=(10_000, 100_000), repetitions=2,
+                          noise=NoiseConfig(lam=0.987), seed=1, n_boot=10)
+        rho = prepared_state(cfg, family_povm.dim)
+        probs = born_probabilities(family_povm, rho)
+        rows = run_sweep(cfg, povm=family_povm).rows
+        assert len(rows) == 4
+        for row in rows:
+            n, t = int(row[0]), int(row[1])
+            counts = sample_counts(probs, n, trial_rng(cfg.seed, cfg.n_grid.index(n), t))
+            assert row[2] == 1.0 - fidelity(estimate_theta(counts, family_povm, cfg.mle).state,
+                                            rho)
 
     def test_state_is_built_once_per_sweep(self, family_povm, monkeypatch):
         built = []

@@ -4,7 +4,7 @@ import pytest
 from pointtomo.errors import InvalidInput
 from pointtomo.states import (DensityMatrix, StateVector, born_probabilities,
                               depolarize, equal_deviation_state, fiducial_state,
-                              fidelity, neighborhood_state)
+                              fidelity, neighborhood_state, pure_probabilities)
 
 
 class TestNeighborhoodState:
@@ -134,6 +134,17 @@ class TestBornProbabilities:
     def test_dimension_mismatch(self, family_povm):
         with pytest.raises(InvalidInput):
             born_probabilities(family_povm, depolarize(fiducial_state(3), 0.5))
+
+    def test_pure_probabilities_of_a_stack_match_each_row(self, family_povm):
+        rng = np.random.default_rng(8)
+        amps = rng.standard_normal((37, 4)) + 1j * rng.standard_normal((37, 4))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        stacked = pure_probabilities(family_povm.effects, amps)
+        assert stacked.shape == (37, family_povm.n_outcomes)
+        for row, probs in zip(amps, stacked):
+            assert np.array_equal(pure_probabilities(family_povm.effects, row), probs)
+        rho = depolarize(StateVector(amps[0]), 1.0)
+        assert np.allclose(stacked[0], born_probabilities(family_povm, rho), atol=1e-14)
 
     def test_sums_to_one_for_designed_povms(self, device):
         from pointtomo.povm import effects_from_family, enumerate_families
