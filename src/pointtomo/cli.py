@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -44,12 +45,22 @@ def _family_povm(args):
     return effects_from_family(load_device(args.device), args.subset, args.phases)
 
 
-def _write_run(args, text: str, extra: dict | None = None, unhashed: tuple = ()) -> None:
+def _write_run(args, text: str, extra: dict | None = None, unhashed: tuple = (),
+               stage_s: dict | None = None) -> None:
     """Write ``--out`` and its sidecar, hashing every argument except the output
     paths, the worker count and ``unhashed``, which leave ``text`` unchanged."""
     skip = ("func", "out", "plot", "workers") + unhashed
     run = {k: v for k, v in vars(args).items() if k not in skip}
-    write_output(args.out, text, config_hash(run), args.seed, extra)
+    write_output(args.out, text, config_hash(run), args.seed, extra, stage_s)
+
+
+def _note_outcomes(outcomes: dict) -> None:
+    """One line on stderr when an estimate or replica of the run ended on the
+    chart bound or failed the convergence test; the run itself goes on."""
+    if any(outcomes.values()):
+        counts = " ".join(f"{k}={v}" for k, v in outcomes.items())
+        print(f"note: {counts} (estimates on the chart bound or unconverged)",
+              file=sys.stderr)
 
 
 def _add_family_args(p):
@@ -128,15 +139,19 @@ def _sweep_config(args) -> SweepConfig:
 
 def cmd_simulate(args) -> int:
     cfg = _sweep_config(args)
+    start = time.perf_counter()
     result = run_sweep(cfg, workers=args.workers)
+    sweep_s = time.perf_counter() - start
     table = sweep_table_text(result)
+    outcomes = {"estimates_at_bound": result.n_at_bound,
+                "estimates_not_converged": result.n_not_converged,
+                "replicas_at_bound": result.n_replicas_at_bound,
+                "replicas_not_converged": result.n_replicas_not_converged}
+    _note_outcomes(outcomes)
     if args.out:
-        _write_run(args, table, extra={"rows": len(result.rows),
-                                       "estimates_at_bound": result.n_at_bound,
-                                       "estimates_not_converged": result.n_not_converged,
-                                       "replicas_at_bound": result.n_replicas_at_bound,
-                                       "replicas_not_converged":
-                                           result.n_replicas_not_converged})
+        _write_run(args, table, extra={"rows": len(result.rows), "workers": result.workers,
+                                       **outcomes},
+                   stage_s={"sweep": sweep_s})
     else:
         sys.stdout.write(table)
     if args.plot:
@@ -157,16 +172,21 @@ def cmd_bootstrap(args) -> int:
         counts = np.asarray(args.counts, dtype=float)
     else:
         counts = sample_counts(born_probabilities(povm, rho), args.n, trial_rng(args.seed, 0, 0))
+    start = time.perf_counter()
     res = bootstrap_infidelity(counts, povm, rho, args.boot, trial_rng(args.seed, 0, 0, stream=1),
                                MleConfig(starts=args.mle_starts))
+    estimate_s = time.perf_counter() - start
     lines = ["boot_low,boot_q25,boot_median,boot_q75,boot_high,degenerate",
              ",".join(repr(v) for v in res.as_row()) + f",{int(res.degenerate)}"]
     table = "\n".join(lines) + "\n"
     sys.stdout.write(table)
+    outcomes = {"replicas_at_bound": res.n_at_bound,
+                "replicas_not_converged": res.n_not_converged}
+    _note_outcomes(outcomes)
     if args.out:
-        _write_run(args, table, extra={"resampling": "empirical-frequencies",
-                                       "replicas_at_bound": res.n_at_bound,
-                                       "replicas_not_converged": res.n_not_converged})
+        _write_run(args, table, extra={"resampling": "empirical-frequencies", "workers": 1,
+                                       **outcomes},
+                   stage_s={"estimate": estimate_s})
     return 0
 
 

@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import tempfile
+import time
 from datetime import datetime, timezone
 
 import numpy as np
@@ -97,9 +98,17 @@ def config_hash(obj) -> str:
 
 
 def write_output(path: str, text: str, config_digest: str, seed: int,
-                 extra: dict | None = None) -> None:
-    """Write ``text`` to ``path`` and its ``.meta.json`` sidecar, each atomically."""
+                 extra: dict | None = None, stage_s: dict | None = None) -> None:
+    """Write ``text`` to ``path`` and its ``.meta.json`` sidecar, each atomically.
+
+    ``stage_s`` maps the run's stages to their wall seconds; when given, the
+    sidecar records it under ``stage_s`` with a ``write`` stage added, the
+    seconds taken to write ``text``.
+    """
+    start = time.perf_counter()
     atomic_write_text(path, text)
+    if stage_s is not None:
+        extra = {**(extra or {}), "stage_s": {**stage_s, "write": time.perf_counter() - start}}
     record = metadata_record(config_digest, seed, extra)
     atomic_write_text(os.path.splitext(path)[0] + ".meta.json",
                       json.dumps(record, indent=2, sort_keys=True) + "\n")

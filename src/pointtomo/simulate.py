@@ -5,6 +5,14 @@ probabilities). Randomness is organized as independent per-trial streams
 derived from the master seed and the (grid index, trial index) pair, so a
 sweep is reproducible bit for bit regardless of execution order or worker
 count.
+
+A sweep is one batch of estimates: the counts of every trial and, with a
+bootstrap, its replicas (drawn from the trial's second stream) are stacked
+and estimated together, in blocks of ``_REPLICA_BLOCK`` rows. A row's
+estimate does not depend on the stack it runs in, so each trial equals
+:func:`run_trial` on its own, which is the one-trial case of the same path.
+With several workers, each takes a contiguous chunk of the trials as its
+own batch.
 """
 
 from __future__ import annotations
@@ -13,13 +21,15 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, islice
 
 import numpy as np
 from scipy.linalg import expm
 
 from .errors import InvalidInput, SweepError
-from .estimator import (BootstrapResult, MleConfig, bootstrap_infidelity, estimate_state,
-                        estimate_theta)
+from .estimator import (_REPLICA_BLOCK, BootstrapResult, MleConfig, _bootstrap_summary,
+                        _estimate_rows, _resample, estimate_state)
+from .estimator import bootstrap_infidelity  # noqa: F401 - a name perfbench's traced run wraps
 from .povm import Povm, effects_from_family, gauge_fix_effects, load_device
 from .states import (DensityMatrix, StateVector, born_probabilities, depolarize,
                      equal_deviation_state, fiducial_state, fidelity)
@@ -97,6 +107,7 @@ class SweepResult:
     n_not_converged: int = 0
     n_replicas_at_bound: int = 0
     n_replicas_not_converged: int = 0
+    workers: int = 1                  # processes the sweep ran on
 
     COLUMNS = ("N", "trial", "infidelity", "boot_low", "boot_q25",
                "boot_median", "boot_q75", "boot_high")
@@ -150,29 +161,74 @@ def perturb_effects(povm: Povm, epsilon: float, rng) -> Povm:
     return Povm(gauge_fix_effects(povm.effects @ u.T))
 
 
+def _trials(state: DensityMatrix, povm: Povm, draws, mle: MleConfig, n_boot: int):
+    """Yield one :class:`TrialResult` per ``(n, rng, boot_rng)`` in ``draws``,
+    in order, estimating every trial of ``draws`` in one batch.
+
+    Each trial's counts come from its ``rng`` and, with ``n_boot`` > 0, its
+    ``n_boot`` bootstrap replicas from its ``boot_rng``, as in
+    :func:`~pointtomo.estimator.bootstrap_infidelity`. The counts of every
+    trial, each followed by its replicas, form one stack, estimated in blocks
+    of ``_REPLICA_BLOCK`` rows; a row's estimate does not depend on its block.
+    A trial is yielded once the block holding its last row is done, so an
+    error in a later block leaves the earlier trials intact. N = 0 trials
+    return the fiducial state; degenerate counts (one observed outcome) are
+    estimated once and not resampled.
+    """
+    if 0 < n_boot < 10:
+        raise InvalidInput("need n_boot >= 10")
+    probs = born_probabilities(povm, state)
+    trials, rows, n_rows = [], [], 0  # trials: (n, counts, first row, number of rows)
+    for n, rng, boot_rng in draws:
+        counts = sample_counts(probs, n, rng)
+        own = counts[None, :].astype(float) if n > 0 else np.empty((0, counts.size))
+        if n_boot > 0 and np.count_nonzero(counts) > 1:
+            own = np.concatenate([own, _resample(own[0], n_boot, boot_rng)])
+        trials.append((n, counts, n_rows, len(own)))
+        rows.append(own)
+        n_rows += len(own)
+    stack = np.concatenate(rows)
+    block = _REPLICA_BLOCK
+
+    def estimates():
+        """The estimates of the stack's rows, one block at a time, on demand."""
+        for start in range(0, len(stack), block):
+            try:
+                batch = _estimate_rows(povm.effects, stack[start:start + block], mle)
+            except Exception as exc:
+                failed = sorted({m for m, _, lo, k in trials
+                                 if lo < start + block and lo + k > start})
+                raise type(exc)(f"trials with N={', '.join(map(str, failed))} failed: "
+                                f"{exc}") from exc
+            yield from batch
+
+    stream = estimates()
+    for n, counts, _, size in trials:
+        own = list(islice(stream, size))
+        if n == 0:
+            estimate = fiducial_state(povm.dim)
+            yield TrialResult(n=n, counts=counts, estimate=estimate,
+                              infidelity=1.0 - fidelity(estimate, state), at_bound=False,
+                              converged=True)
+            continue
+        values = [1.0 - fidelity(est.state, state) for est in own]
+        boot = None
+        if n_boot > 0:   # without replicas (degenerate counts) the point estimate stands in
+            boot = _bootstrap_summary(values[1:] or values, own[1:], n_boot)
+        yield TrialResult(n=n, counts=counts, estimate=own[0].state, infidelity=values[0],
+                          at_bound=own[0].at_bound, converged=own[0].converged, bootstrap=boot)
+
+
 def run_trial(state: DensityMatrix, povm: Povm, n: int, rng,
               mle: MleConfig = MleConfig(), n_boot: int = 0,
               boot_rng=None) -> TrialResult:
     """Sample counts from the true state, estimate, and score the infidelity.
 
     With ``n_boot`` > 0 the infidelity spread is also bootstrapped, drawing
-    the replicas from ``boot_rng``.
+    the replicas from ``boot_rng``. This is a sweep of one trial: its result
+    equals the sweep's for the same streams.
     """
-    probs = born_probabilities(povm, state)
-    counts = sample_counts(probs, n, rng)
-    if n == 0:
-        estimate, at_bound, converged, boot = fiducial_state(povm.dim), False, True, None
-    else:
-        try:
-            mle_result = estimate_theta(counts, povm, mle)
-            boot = (bootstrap_infidelity(counts, povm, state, n_boot, boot_rng, mle)
-                    if n_boot > 0 else None)
-        except Exception as exc:
-            raise type(exc)(f"trial with N={n} failed: {exc}") from exc
-        estimate, at_bound, converged = mle_result.state, mle_result.at_bound, mle_result.converged
-    return TrialResult(n=n, counts=counts, estimate=estimate,
-                       infidelity=1.0 - fidelity(estimate, state), at_bound=at_bound,
-                       converged=converged, bootstrap=boot)
+    return next(_trials(state, povm, [(n, rng, boot_rng)], mle, n_boot))
 
 
 def sweep_povm(cfg: SweepConfig) -> Povm:
@@ -185,27 +241,38 @@ def prepared_state(cfg: SweepConfig, dim: int) -> DensityMatrix:
     return depolarize(equal_deviation_state(cfg.theta_scalar, dim), cfg.noise.lam)
 
 
-def _sweep_row(povm: Povm, rho: DensityMatrix, cfg: SweepConfig, item) -> tuple:
-    """Table row of trial ``t`` at grid index ``i`` (ensemble size ``n``), with
-    its optimizer outcome counts: (point estimate on the bound, point estimate
-    unconverged, replicas on the bound, replicas unconverged)."""
-    i, n, t = item
-    trial = run_trial(rho, povm, n, trial_rng(cfg.seed, i, t), cfg.mle, cfg.n_boot,
-                      trial_rng(cfg.seed, i, t, stream=1))
-    boot = trial.bootstrap
-    row = (float(n), float(t), trial.infidelity) + ((np.nan,) * 5 if boot is None
-                                                     else boot.as_row())
-    replicas = (0, 0) if boot is None else (boot.n_at_bound, boot.n_not_converged)
-    return row, (int(trial.at_bound), int(not trial.converged)) + replicas
+def _sweep_rows(povm: Povm, rho: DensityMatrix, cfg: SweepConfig, items):
+    """Yield the table row of each (grid index, N, trial) in ``items``, with
+    its optimizer outcome counts: (point estimate on the bound, point
+    estimate unconverged, replicas on the bound, replicas unconverged). All
+    of ``items`` are estimated in one batch."""
+    draws = [(n, trial_rng(cfg.seed, i, t),
+              trial_rng(cfg.seed, i, t, stream=1) if cfg.n_boot else None)
+             for i, n, t in items]
+    for (_, n, t), trial in zip(items, _trials(rho, povm, draws, cfg.mle, cfg.n_boot)):
+        boot = trial.bootstrap
+        row = (float(n), float(t), trial.infidelity) + ((np.nan,) * 5 if boot is None
+                                                         else boot.as_row())
+        replicas = (0, 0) if boot is None else (boot.n_at_bound, boot.n_not_converged)
+        yield row, (int(trial.at_bound), int(not trial.converged)) + replicas
+
+
+def _chunk_rows(povm: Povm, rho: DensityMatrix, cfg: SweepConfig, items) -> list:
+    """The rows of :func:`_sweep_rows` for one worker's chunk of items."""
+    return list(_sweep_rows(povm, rho, cfg, items))
 
 
 def run_sweep(cfg: SweepConfig, povm: Povm | None = None, workers: int = 1) -> SweepResult:
     """Execute all (N, trial) work items of a sweep.
 
-    The result is deterministic given (config, seed) and independent of
-    ``workers``, which caps the process pool at the number of work items;
-    any trial error aborts with a :class:`SweepError` carrying the partial
-    result flagged as such.
+    The items are estimated as one batch (see :func:`run_trial`), or, with
+    more than one worker, as one batch per worker on contiguous chunks of
+    the items. The result is deterministic given (config, seed) and
+    independent of ``workers``, which is capped at the number of work items.
+    Any trial error aborts with a :class:`SweepError` carrying the partial
+    result, flagged as such: the rows of the trials finished before the
+    failing one, or, with a pool, those of the chunks before the failing
+    chunk.
     """
     if workers < 1:
         raise InvalidInput(f"workers must be >= 1, got {workers}")
@@ -215,21 +282,24 @@ def run_sweep(cfg: SweepConfig, povm: Povm | None = None, workers: int = 1) -> S
     if cfg.noise.systematic_epsilon > 0:
         povm = perturb_effects(povm, cfg.noise.systematic_epsilon,
                                np.random.default_rng(np.random.SeedSequence(cfg.seed)))
-    # the built POVM and state travel to the workers with each trial, unvalidated
-    row_of = partial(_sweep_row, povm, rho, cfg)
     items = [(i, n, t) for i, n in enumerate(cfg.n_grid) for t in range(cfg.repetitions)]
     # the fork start method launches every requested process at the first submit
     workers = min(workers, len(items))
     rows, outcomes = [], (0, 0, 0, 0)   # SweepResult's outcome counts, in field order
     try:
         with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-            for row, counts in pool.map(row_of, items) if pool else map(row_of, items):
+            # the built POVM and state travel to the workers with each chunk, unvalidated
+            chunks = (pool.map(partial(_chunk_rows, povm, rho, cfg),
+                               [items[k * len(items) // workers:(k + 1) * len(items) // workers]
+                                for k in range(workers)])
+                      if pool else [_sweep_rows(povm, rho, cfg, items)])
+            for row, counts in chain.from_iterable(chunks):
                 rows.append(row)
                 outcomes = tuple(a + b for a, b in zip(outcomes, counts))
     except Exception as exc:
         raise SweepError(f"sweep aborted: {exc}",
-                         partial=SweepResult(tuple(rows), True, *outcomes)) from exc
-    return SweepResult(tuple(rows), False, *outcomes)
+                         partial=SweepResult(tuple(rows), True, *outcomes, workers)) from exc
+    return SweepResult(tuple(rows), False, *outcomes, workers)
 
 
 def expected_infidelity_floor(rho: DensityMatrix, povm: Povm,

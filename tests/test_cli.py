@@ -100,6 +100,57 @@ class TestSimulateCommand:
         assert (meta["replicas_at_bound"], meta["replicas_not_converged"]) == \
             (boots[0].n_at_bound, boots[0].n_not_converged)
 
+    def test_pinned_estimates_print_one_stderr_line(self, tmp_path, capsys):
+        # N=100 and 1000 at theta=0.2, lambda=0.987: replicas end on the bound;
+        # the line goes to stderr and leaves the exit code and the table alone
+        sim = ("simulate", "--theta", "0.2", "--lambda", "0.987", "--n-grid", "100,1000",
+               "--reps", "3", "--boot", "10", "--seed", "13", "--workers", "1")
+        boot = ("bootstrap", "--theta", "0.2", "--lambda", "0.987", "--n", "100",
+                "--boot", "10", "--seed", "13")
+        for argv in (sim, boot):
+            assert run_cli(*argv) == 0
+            shown = capsys.readouterr()
+            out = tmp_path / f"{argv[0]}.csv"
+            assert run_cli(*argv, "--out", str(out)) == 0
+            assert capsys.readouterr().err == shown.err
+            meta = json.loads(out.with_suffix(".meta.json").read_text())
+            assert meta["replicas_at_bound"] > 0
+            [line] = shown.err.splitlines()
+            assert line.startswith("note: ")
+            assert f"replicas_at_bound={meta['replicas_at_bound']}" in line
+            assert shown.out == out.read_text()
+
+    def test_clean_runs_print_nothing_on_stderr(self, capsys):
+        # the plateau sweep: no estimate or replica on the bound or unconverged
+        assert run_cli("simulate", "--theta", "0.2", "--lambda", "0.987",
+                       "--n-grid", "10000,100000,1000000", "--reps", "4", "--boot", "10",
+                       "--seed", "1", "--workers", "1") == 0
+        assert run_cli("bootstrap", "--theta", "0.2", "--lambda", "0.987", "--n", "100000",
+                       "--boot", "10", "--seed", "1") == 0
+        assert capsys.readouterr().err == ""
+
+    def test_sidecar_records_workers_and_stage_times(self, tmp_path):
+        # 64 requested workers run as 2, one per work item; neither key is hashed
+        # or changes the table
+        sim = ("simulate", "--theta", "0.01", "--n-grid", "50", "--reps", "2", "--seed", "4",
+               "--mle-starts", "1")
+        tables, hashes = [], []
+        for workers in (1, 64):
+            out = tmp_path / f"w{workers}.csv"
+            assert run_cli(*sim, "--workers", str(workers), "--out", str(out)) == 0
+            meta = json.loads(out.with_suffix(".meta.json").read_text())
+            assert meta["workers"] == min(workers, 2)
+            assert set(meta["stage_s"]) == {"sweep", "write"}
+            assert all(s >= 0 for s in meta["stage_s"].values())
+            tables.append(out.read_bytes())
+            hashes.append(meta["config_hash"])
+        assert tables[0] == tables[1] and hashes[0] == hashes[1]
+        out = tmp_path / "b.csv"
+        assert run_cli("bootstrap", "--counts", "40,30,20,5,3,1,1", "--theta", "0.01",
+                       "--seed", "4", "--boot", "10", "--out", str(out)) == 0
+        meta = json.loads(out.with_suffix(".meta.json").read_text())
+        assert meta["workers"] == 1 and set(meta["stage_s"]) == {"estimate", "write"}
+
     def test_library_sweep_matches_cli(self, capsys):
         cfg = SweepConfig(theta_scalar=0.01, n_grid=(500,), repetitions=3, seed=7,
                           noise=NoiseConfig(systematic_epsilon=0.05), mle=MleConfig(starts=2))

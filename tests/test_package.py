@@ -58,15 +58,13 @@ def test_estimate_theta_calls_pure_probabilities(monkeypatch, family_povm):
 
 
 def test_run_sweep_calls_estimator_through_simulate(monkeypatch, family_povm):
-    # the point estimate goes through estimate_theta for its at_bound and
-    # converged flags; bootstrap replicas are estimated in batches inside
-    # bootstrap_infidelity
-    estimates = count_calls(monkeypatch, simulate, "estimate_theta")
-    boots = count_calls(monkeypatch, simulate, "bootstrap_infidelity")
-    cfg = SweepConfig(theta_scalar=0.01, n_grid=(100,), repetitions=1, seed=1, n_boot=10,
+    # point estimates and bootstrap replicas of every trial are estimated
+    # together: a sweep that fits in one block is one batched call
+    batches = count_calls(monkeypatch, simulate, "_estimate_rows")
+    cfg = SweepConfig(theta_scalar=0.01, n_grid=(100, 1000), repetitions=2, seed=1, n_boot=10,
                       mle=MleConfig(starts=1))
     simulate.run_sweep(cfg, povm=family_povm, workers=1)
-    assert estimates and boots
+    assert len(batches) == 1
 
 
 def test_optimize_phases_calls_matrix_norm(monkeypatch, device):

@@ -75,10 +75,15 @@ class TestRunTrial:
         assert trial.infidelity < 1e-3
 
     def test_zero_copies_returns_fiducial(self, family_povm):
+        # nothing is estimated or resampled, also when the trial bootstraps
         rho = depolarize(equal_deviation_state(0.1), 1.0)
-        trial = run_trial(rho, family_povm, 0, trial_rng(5, 0, 0))
-        assert np.allclose(trial.estimate.amps, [1, 0, 0, 0])
-        assert trial.infidelity == pytest.approx(1.0 - fidelity(fiducial_state(4), rho), abs=1e-12)
+        for n_boot in (0, 10):
+            trial = run_trial(rho, family_povm, 0, trial_rng(5, 0, 0), n_boot=n_boot,
+                              boot_rng=trial_rng(5, 0, 0, stream=1))
+            assert np.allclose(trial.estimate.amps, [1, 0, 0, 0])
+            assert trial.infidelity == pytest.approx(1.0 - fidelity(fiducial_state(4), rho),
+                                                     abs=1e-12)
+            assert trial.bootstrap is None
 
     def test_noisy_floor_scale(self, family_povm):
         # infinite-ensemble infidelity of the depolarized state sits at the
@@ -217,22 +222,25 @@ class TestRunSweep:
         assert sizes == [4]
 
     def test_trial_error_aborts_with_partial_flag(self, monkeypatch):
+        # blocks of 2 rows: the second block, trials 2 and 3, fails
         calls = {"n": 0}
-        original = sim.estimate_theta
+        original = sim._estimate_rows
 
-        def flaky(counts, povm, cfg):
+        def flaky(effects, counts, cfg):
             calls["n"] += 1
-            if calls["n"] == 3:
+            if calls["n"] == 2:
                 raise RuntimeError("synthetic estimator failure")
-            return original(counts, povm, cfg)
+            return original(effects, counts, cfg)
 
-        monkeypatch.setattr(sim, "estimate_theta", flaky)
+        monkeypatch.setattr(sim, "_estimate_rows", flaky)
+        monkeypatch.setattr(sim, "_REPLICA_BLOCK", 2)
         cfg = SweepConfig(theta_scalar=0.01, n_grid=(50,), repetitions=4, seed=1,
                           mle=MleConfig(starts=2))
         with pytest.raises(SweepError) as excinfo:
             run_sweep(cfg)
         assert excinfo.value.partial.partial
         assert len(excinfo.value.partial.rows) == 2
+        assert "N=50" in str(excinfo.value)
 
     def test_systematic_epsilon_changes_results(self, family_povm):
         base = SweepConfig(theta_scalar=0.01, n_grid=(500,), repetitions=3, seed=3,
@@ -243,6 +251,34 @@ class TestRunSweep:
         t_base = run_sweep(base, povm=family_povm).as_array()[:, 2]
         t_bent = run_sweep(bent, povm=family_povm).as_array()[:, 2]
         assert not np.allclose(t_base, t_bent)
+
+    @pytest.mark.parametrize("workers, block", [(1, None), (2, None), (1, 7)])
+    def test_batched_sweep_matches_run_trial(self, family_povm, monkeypatch, workers, block):
+        # N=1 trials are degenerate, N=100 replicas reach the chart bound; the
+        # rows and outcome counts of one batch (or of 7-row blocks, or of one
+        # batch per worker) equal run_trial on each item, bit for bit
+        if block is not None:
+            monkeypatch.setattr(sim, "_REPLICA_BLOCK", block)
+        cfg = SweepConfig(theta_scalar=0.2, n_grid=(1, 100, 10_000), repetitions=3,
+                          noise=NoiseConfig(lam=0.987), seed=5, n_boot=10)
+        rho = prepared_state(cfg, family_povm.dim)
+        rows, outcomes = [], []
+        for i, n in enumerate(cfg.n_grid):
+            for t in range(cfg.repetitions):
+                trial = run_trial(rho, family_povm, n, trial_rng(cfg.seed, i, t), cfg.mle,
+                                  cfg.n_boot, trial_rng(cfg.seed, i, t, stream=1))
+                boot = trial.bootstrap
+                assert boot.degenerate == (n == 1)
+                rows.append((float(n), float(t), trial.infidelity) + boot.as_row())
+                outcomes.append((int(trial.at_bound), int(not trial.converged),
+                                 boot.n_at_bound, boot.n_not_converged))
+        res = run_sweep(cfg, povm=family_povm, workers=workers)
+        assert res.rows == tuple(rows)
+        assert (res.n_at_bound, res.n_not_converged, res.n_replicas_at_bound,
+                res.n_replicas_not_converged) == tuple(map(sum, zip(*outcomes)))
+        assert res.n_replicas_at_bound > 0 and res.workers == workers
+        items = [(i, n, t) for i, n in enumerate(cfg.n_grid) for t in range(cfg.repetitions)]
+        assert [counts for _, counts in sim._sweep_rows(family_povm, rho, cfg, items)] == outcomes
 
     def test_rows_are_run_trial_results(self, family_povm):
         cfg = SweepConfig(theta_scalar=0.2, n_grid=(300, 3000), repetitions=2,
