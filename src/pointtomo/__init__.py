@@ -22,7 +22,7 @@ from .states import (DensityMatrix, StateVector, born_probabilities, depolarize,
                      equal_deviation_state, fiducial_state, fidelity,
                      neighborhood_state)
 
-# after numpy and scipy have loaded their OpenBLAS: capping first slows their import
+# after numpy has loaded its OpenBLAS: capping first slows its import
 from .blas import limit_blas_threads as _limit_blas_threads
 
 _limit_blas_threads()

@@ -70,10 +70,7 @@ class MleResult:
     n_tied: int
     converged: bool                   # projected-gradient test of the returned start
     at_bound: bool                    # some |Re/Im theta_j| on the chart bound
-
-    @property
-    def state(self) -> StateVector:
-        return neighborhood_state(self.theta)
+    state: StateVector                # neighborhood_state(theta)
 
 
 @dataclass(frozen=True)
@@ -269,12 +266,13 @@ def _estimate_rows(effects: np.ndarray, counts: np.ndarray, cfg: MleConfig) -> l
         x_star, converged = min(tied, key=lambda t: float(t[0] @ t[0]))
         picks.append((x_star[:m] + 1j * x_star[m:], len(found), len(tied), bool(converged),
                       at_bound(x_star)))
-    amps = np.array([neighborhood_state(theta).amps for theta, *_ in picks])
-    p = pure_probabilities(effects, amps)
+    states = [neighborhood_state(theta) for theta, *_ in picks]
+    p = pure_probabilities(effects, np.array([state.amps for state in states]))
     logliks = (counts * np.log(np.maximum(p, PROBABILITY_FLOOR))).sum(axis=1)
     return [MleResult(theta=theta, log_likelihood=float(loglik), n_candidates=n_candidates,
-                      n_tied=n_tied, converged=converged, at_bound=pinned)
-            for (theta, n_candidates, n_tied, converged, pinned), loglik in zip(picks, logliks)]
+                      n_tied=n_tied, converged=converged, at_bound=pinned, state=state)
+            for (theta, n_candidates, n_tied, converged, pinned), loglik, state
+            in zip(picks, logliks, states)]
 
 
 def estimate_theta(counts, povm, cfg: MleConfig = MleConfig()) -> MleResult:

@@ -15,7 +15,6 @@ import time
 from datetime import datetime, timezone
 
 import numpy as np
-import scipy
 
 from .blas import blas_threads
 from .errors import InvalidInput
@@ -80,8 +79,7 @@ def metadata_record(config_digest: str, seed: int, extra: dict | None = None,
     record = {
         "config_hash": config_digest,
         "seed": seed,
-        "versions": {"pointtomo": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+        "versions": {"pointtomo": __version__, "numpy": np.__version__},
         "blas_threads": blas_threads(),
     }
     if extra:

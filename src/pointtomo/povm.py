@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import polar
 
 from .assets import load_matrix, seven_port_matrix
 from .errors import DegenerateInput, InvalidInput
@@ -113,7 +112,8 @@ def load_mbs(matrix, reunitarize: bool = True) -> MbsDevice:
     deviation = float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2))
     if not reunitarize:
         return MbsDevice(u=u, unitarity_deviation=deviation)
-    w, _ = polar(u)
+    a, _, vh = np.linalg.svd(u)   # the unitary polar factor of u = a s vh
+    w = a @ vh
     distance = float(np.linalg.norm(u - w, 2))
     return MbsDevice(u=w, unitarity_deviation=deviation, reunitarized=True,
                      replacement_distance=distance)
@@ -210,11 +210,13 @@ def optimize_phases(mbs: MbsDevice, subset, n_starts: int = 32, seed: int = 0,
     return family, matrix_norm(_c_gram(povm.effects), norm_kind)
 
 
-def _haar_unitaries(n: int, count: int, rng) -> np.ndarray:
-    """``count`` Haar n x n unitaries, stacked, via Ginibre matrices and a
-    phase-corrected QR; sample i consumes the generator as the i-th
-    ``haar_random_unitary`` call would."""
-    g = rng.standard_normal((count, 2, n, n))
+def _haar_columns(n: int, count: int, rng, columns: int) -> np.ndarray:
+    """The first ``columns`` columns of ``count`` Haar n x n unitaries, stacked,
+    via Ginibre matrices and a phase-corrected QR; sample i consumes the
+    generator as the i-th ``haar_random_unitary`` call would. The first
+    columns of Q depend only on the first columns of the Ginibre matrix, so
+    only those are factored."""
+    g = rng.standard_normal((count, 2, n, n))[..., :columns]
     q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[:, None, :]
@@ -222,7 +224,7 @@ def _haar_unitaries(n: int, count: int, rng) -> np.ndarray:
 
 def haar_random_unitary(n: int, rng) -> np.ndarray:
     """Haar-distributed n x n unitary via a Ginibre matrix and phase-corrected QR."""
-    return _haar_unitaries(n, 1, rng)[0]
+    return _haar_columns(n, 1, rng, n)[0]
 
 
 def haar_random_povm(dim: int, n_outcomes: int, rng) -> Povm:
@@ -249,6 +251,6 @@ def haar_mean_c_norm(dim: int, n_outcomes: int, samples: int, rng,
     vals = np.empty(samples)
     for start in range(0, samples, HAAR_BLOCK):
         count = min(HAAR_BLOCK, samples - start)
-        rows = _haar_unitaries(n_outcomes, count, rng)[:, :, :dim]
+        rows = _haar_columns(n_outcomes, count, rng, dim)
         vals[start:start + count] = np.linalg.norm(_c_gram(rows), order, axis=(-2, -1))
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples))

@@ -24,7 +24,6 @@ from functools import partial
 from itertools import chain, islice
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import InvalidInput, SweepError
 from .estimator import (_REPLICA_BLOCK, BootstrapResult, MleConfig, _bootstrap_summary,
@@ -157,7 +156,8 @@ def perturb_effects(povm: Povm, epsilon: float, rng) -> Povm:
     d = povm.dim
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = 0.5 * (g + g.conj().T)
-    u = expm(1j * epsilon * h)
+    lam, vec = np.linalg.eigh(h)
+    u = (vec * np.exp(1j * epsilon * lam)) @ vec.conj().T
     return Povm(gauge_fix_effects(povm.effects @ u.T))
 
 

@@ -34,7 +34,7 @@ class TestSimulateCommand:
         assert meta["seed"] == 9
         assert len(meta["config_hash"]) == 64
         assert "timestamp" in meta and "versions" in meta
-        assert set(meta["versions"]) == {"pointtomo", "numpy", "scipy"}
+        assert set(meta["versions"]) == {"pointtomo", "numpy"}
         assert all(n == 1 for n in meta["blas_threads"].values())
 
     def test_seed_required(self, capsys):

@@ -5,6 +5,9 @@ refactor that stops calling one of them through its module would silently
 zero a per-layer count, so each seam is checked here.
 """
 
+import os
+import subprocess
+import sys
 from types import ModuleType
 
 import numpy as np
@@ -21,6 +24,25 @@ def test_all_lists_no_modules_and_resolves():
     for name in ("errors", "estimator", "fisher", "povm", "simulate", "states",
                  "validation"):
         assert isinstance(getattr(pointtomo, name), ModuleType)
+
+
+def test_runs_load_no_scipy(tmp_path):
+    # scipy is no dependency: importing the command line and running a small
+    # sweep and a design must not load it
+    script = (
+        "import sys\n"
+        "from pointtomo.cli import main\n"
+        "assert main(['simulate', '--theta', '0.01', '--n-grid', '100', '--seed', '1',"
+        " '--epsilon', '0.05', '--workers', '1', '--out', 'sweep.csv']) == 0\n"
+        "assert main(['design', '--out', 'design.csv']) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n")
+    src = os.path.dirname(os.path.dirname(pointtomo.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def count_calls(monkeypatch, module, name):

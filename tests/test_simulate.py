@@ -6,7 +6,7 @@ from pointtomo.cli import main
 from pointtomo.errors import InvalidInput, SweepError
 from pointtomo.estimator import MleConfig, estimate_theta
 from pointtomo.fisher import asymptotic_infidelity_coefficient, c_norm
-from pointtomo.povm import effects_from_family
+from pointtomo.povm import Povm, effects_from_family, gauge_fix_effects
 from pointtomo.io import sweep_table_text
 from pointtomo.simulate import (NoiseConfig, SweepConfig, expected_infidelity_floor,
                                 perturb_effects, prepared_state, run_sweep, run_trial,
@@ -65,6 +65,26 @@ class TestPerturbEffects:
     def test_negative_strength_rejected(self, family_povm):
         with pytest.raises(InvalidInput):
             perturb_effects(family_povm, -0.1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 0.05, 0.3])
+    def test_rotation_is_unitary(self, epsilon):
+        # the identity POVM's rotated effects are the rows of the rotation,
+        # each times a phase, so their completeness deviation is the rotation's
+        # deviation from unitarity
+        for seed in range(5):
+            povm = perturb_effects(Povm(np.eye(4)), epsilon, np.random.default_rng(seed))
+            assert povm.completeness_deviation < 1e-12
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 0.05, 0.3])
+    def test_rotation_matches_matrix_exponential(self, family_povm, epsilon):
+        expm = pytest.importorskip("scipy.linalg").expm
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            u = expm(1j * epsilon * 0.5 * (g + g.conj().T))
+            want = gauge_fix_effects(family_povm.effects @ u.T)
+            got = perturb_effects(family_povm, epsilon, np.random.default_rng(seed)).effects
+            assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestRunTrial:
