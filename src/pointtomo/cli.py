@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .assets import format_matrix_text
 from .errors import InvalidInput, PointTomoError
-from .estimator import MleConfig, bootstrap_infidelity, fit_power_law
+from .estimator import MleConfig, fit_power_law
 from .fisher import (asymptotic_infidelity_coefficient, c_matrix, c_norm,
                      cfim_first_order, gm_inequality_lhs, qfim_pure)
 from .io import (atomic_write_text, config_hash, read_sweep_table, sweep_table_text,
@@ -25,7 +25,7 @@ from .io import (atomic_write_text, config_hash, read_sweep_table, sweep_table_t
 from .plotting import sweep_plot_svg
 from .povm import (effects_from_family, enumerate_families, haar_mean_c_norm,
                    load_device, optimize_phases)
-from .simulate import (NoiseConfig, SweepConfig, expected_infidelity_floor,
+from .simulate import (NoiseConfig, SweepConfig, bootstrap_infidelity, expected_infidelity_floor,
                        prepared_state, run_sweep, sample_counts, sweep_povm, trial_rng)
 from .states import born_probabilities, depolarize, equal_deviation_state
 

@@ -1,4 +1,4 @@
-"""Local pure-state maximum-likelihood estimation and related statistics.
+"""Local pure-state maximum-likelihood estimation and power-law fits.
 
 The estimator maximizes the multinomial log-likelihood over the local chart
 theta in C^(d-1) (2(d-1) real variables) with a box-projected Newton
@@ -15,13 +15,12 @@ The descent runs on a stack of starts, each row with its own outcome
 weights: one objective call evaluates every running row, one stacked
 eigendecomposition gives their Newton steps, and each row keeps its own line
 search and stops on its own. :func:`estimate_theta` descends one count
-vector's starts as such a stack; :func:`bootstrap_infidelity` descends the
-starts of all its replicas together, and a sweep
-(:func:`pointtomo.simulate.run_sweep`) those of all its trials and their
-replicas. Every per-row sum is taken elementwise, so a row's result does not
-depend on the stack it runs in: a bootstrap replica or a sweep trial gets
-the same estimate, bit for bit, as :func:`estimate_theta` on the same
-counts.
+vector's starts as such a stack; a sweep or a bootstrap
+(:mod:`pointtomo.simulate`) descends those of all its trials and their
+replicas together. Every per-row sum is taken elementwise, so a row's result
+does not depend on the stack it runs in: a bootstrap replica or a sweep
+trial gets the same estimate, bit for bit, as :func:`estimate_theta` on the
+same counts.
 """
 
 from __future__ import annotations
@@ -34,14 +33,8 @@ import numpy as np
 
 from .errors import DegenerateInput, InvalidInput
 from .fisher import PROBABILITY_FLOOR
-from .states import StateVector, fidelity, neighborhood_state, pure_probabilities
+from .states import StateVector, neighborhood_state, pure_probabilities
 from .validation import check_counts
-
-# Rows estimated per batch: bounds the (rows, K, 2m, 2m) curvature
-# temporaries of a large bootstrap or sweep. Rows are independent, so the
-# block size does not change any estimate.
-_REPLICA_BLOCK = 256
-
 
 @dataclass(frozen=True)
 class MleConfig:
@@ -288,73 +281,6 @@ def estimate_theta(counts, povm, cfg: MleConfig = MleConfig()) -> MleResult:
 def estimate_state(counts, povm, cfg: MleConfig = MleConfig()) -> StateVector:
     """Maximum-likelihood pure-state estimate on the local chart."""
     return estimate_theta(counts, povm, cfg).state
-
-
-@dataclass(frozen=True)
-class BootstrapResult:
-    low: float
-    high: float
-    q25: float
-    median: float
-    q75: float
-    n_boot: int
-    degenerate: bool = False
-    n_at_bound: int = 0               # replica estimates on the chart bound
-    n_not_converged: int = 0          # replica estimates that failed the convergence test
-
-    def as_row(self) -> tuple:
-        return (self.low, self.q25, self.median, self.q75, self.high)
-
-
-def _resample(counts: np.ndarray, n_boot: int, rng) -> np.ndarray:
-    """``n_boot`` multinomial replicas of validated ``counts``, drawn at once
-    from the empirical frequencies; one draw of all replicas gives the same
-    replicas as one draw per replica in turn."""
-    total = counts.sum()
-    n = int(round(total))
-    if n < 1:
-        raise InvalidInput(f"counts must total at least 1 to be resampled, got {total}")
-    return rng.multinomial(n, counts / total, size=n_boot).astype(float)
-
-
-def _bootstrap_summary(values, replicas: list, n_boot: int) -> BootstrapResult:
-    """Quantiles of the replica infidelities ``values`` and the optimizer
-    outcome counts of the replica estimates ``replicas``. Without replicas
-    the counts were degenerate, and ``values`` holds the one estimate's
-    infidelity."""
-    values = np.asarray(values, dtype=float)
-    q25, med, q75 = np.quantile(values, [0.25, 0.5, 0.75])
-    return BootstrapResult(low=float(values.min()), high=float(values.max()),
-                           q25=float(q25), median=float(med), q75=float(q75),
-                           n_boot=n_boot, degenerate=not replicas,
-                           n_at_bound=sum(est.at_bound for est in replicas),
-                           n_not_converged=sum(not est.converged for est in replicas))
-
-
-def bootstrap_infidelity(counts, povm, reference, n_boot: int, rng,
-                         cfg: MleConfig = MleConfig()) -> BootstrapResult:
-    """Bootstrap spread of the infidelity versus a fixed reference state.
-
-    Counts are resampled multinomially from the empirical frequencies, all
-    replicas in one draw. The replicas are estimated in batches of up to
-    ``_REPLICA_BLOCK``, each exactly as :func:`estimate_theta` would, and
-    the infidelity of every replica estimate against ``reference`` (a
-    DensityMatrix) is collected.
-    Degenerate counts (a single observed outcome) are estimated once, not
-    resampled, and report no replica estimates on the bound or unconverged.
-    """
-    if n_boot < 10:
-        raise InvalidInput("need n_boot >= 10")
-    counts = check_counts(counts, povm.n_outcomes)
-    if np.count_nonzero(counts) == 1:
-        return _bootstrap_summary([1.0 - fidelity(estimate_state(counts, povm, cfg), reference)],
-                                  [], n_boot)
-    replicas = _resample(counts, n_boot, rng)
-    estimates = [est for start in range(0, n_boot, _REPLICA_BLOCK)
-                 for est in _estimate_rows(povm.effects,
-                                           replicas[start:start + _REPLICA_BLOCK], cfg)]
-    return _bootstrap_summary([1.0 - fidelity(est.state, reference) for est in estimates],
-                              estimates, n_boot)
 
 
 def fit_power_law(points) -> FitResult:

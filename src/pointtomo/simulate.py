@@ -1,4 +1,5 @@
-"""Finite-ensemble measurement simulation: noise, sampling, trials, sweeps.
+"""Finite-ensemble measurement simulation: noise, sampling, trials, sweeps
+and the bootstrap.
 
 Every trial draws exactly N copies (a multinomial over the outcome
 probabilities). Randomness is organized as independent per-trial streams
@@ -10,9 +11,10 @@ A sweep is one batch of estimates: the counts of every trial and, with a
 bootstrap, its replicas (drawn from the trial's second stream) are stacked
 and estimated together, in blocks of ``_REPLICA_BLOCK`` rows. A row's
 estimate does not depend on the stack it runs in, so each trial equals
-:func:`run_trial` on its own, which is the one-trial case of the same path.
-With several workers, each takes a contiguous chunk of the trials as its
-own batch.
+:func:`run_trial` on its own, and a trial's bootstrap equals
+:func:`bootstrap_infidelity` on its counts: both are one-trial cases of the
+same path. With several workers, each takes a contiguous chunk of the
+trials as its own batch.
 """
 
 from __future__ import annotations
@@ -26,13 +28,21 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import InvalidInput, SweepError
-from .estimator import (_REPLICA_BLOCK, BootstrapResult, MleConfig, _bootstrap_summary,
-                        _estimate_rows, _resample, estimate_state)
-from .estimator import bootstrap_infidelity  # noqa: F401 - a name perfbench's traced run wraps
+from .estimator import MleConfig, _estimate_rows, estimate_state
 from .povm import Povm, effects_from_family, gauge_fix_effects, load_device
 from .states import (DensityMatrix, StateVector, born_probabilities, depolarize,
                      equal_deviation_state, fiducial_state, fidelity)
-from .validation import check_in_range, check_probability_vector
+from .validation import check_counts, check_in_range, check_probability_vector
+
+# Rows estimated per batch: bounds the (rows, K, 2m, 2m) curvature
+# temporaries of a large bootstrap or sweep. Rows are independent, so the
+# block size does not change any estimate.
+_REPLICA_BLOCK = 256
+
+
+def _check_n_boot(n_boot: int) -> None:
+    if n_boot != 0 and n_boot < 10:
+        raise InvalidInput(f"n_boot must be 0 (no bootstrap) or >= 10, got {n_boot}")
 
 
 @dataclass(frozen=True)
@@ -71,12 +81,27 @@ class SweepConfig:
             raise InvalidInput("repetitions must be >= 1")
         if self.theta_scalar < 0:
             raise InvalidInput("theta_scalar must be >= 0")
-        if self.n_boot != 0 and self.n_boot < 10:
-            raise InvalidInput(f"n_boot must be 0 (no bootstrap) or >= 10, got {self.n_boot}")
+        _check_n_boot(self.n_boot)
         object.__setattr__(self, "n_grid", grid)
         object.__setattr__(self, "subset", tuple(int(s) for s in self.subset))
         if self.phases is not None:
             object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
+
+
+@dataclass(frozen=True)
+class BootstrapResult:
+    low: float
+    high: float
+    q25: float
+    median: float
+    q75: float
+    n_boot: int
+    degenerate: bool = False
+    n_at_bound: int = 0               # replica estimates on the chart bound
+    n_not_converged: int = 0          # replica estimates that failed the convergence test
+
+    def as_row(self) -> tuple:
+        return (self.low, self.q25, self.median, self.q75, self.high)
 
 
 @dataclass(frozen=True)
@@ -161,26 +186,48 @@ def perturb_effects(povm: Povm, epsilon: float, rng) -> Povm:
     return Povm(gauge_fix_effects(povm.effects @ u.T))
 
 
-def _trials(state: DensityMatrix, povm: Povm, draws, mle: MleConfig, n_boot: int):
-    """Yield one :class:`TrialResult` per ``(n, rng, boot_rng)`` in ``draws``,
-    in order, estimating every trial of ``draws`` in one batch.
+def _resample(counts: np.ndarray, n_boot: int, rng) -> np.ndarray:
+    """``n_boot`` multinomial replicas of validated ``counts``, drawn at once
+    from the empirical frequencies; one draw of all replicas gives the same
+    replicas as one draw per replica in turn."""
+    total = counts.sum()
+    n = int(round(total))
+    if n < 1:
+        raise InvalidInput(f"counts must total at least 1 to be resampled, got {total}")
+    return rng.multinomial(n, counts / total, size=n_boot).astype(float)
 
-    Each trial's counts come from its ``rng`` and, with ``n_boot`` > 0, its
-    ``n_boot`` bootstrap replicas from its ``boot_rng``, as in
-    :func:`~pointtomo.estimator.bootstrap_infidelity`. The counts of every
-    trial, each followed by its replicas, form one stack, estimated in blocks
-    of ``_REPLICA_BLOCK`` rows; a row's estimate does not depend on its block.
-    A trial is yielded once the block holding its last row is done, so an
-    error in a later block leaves the earlier trials intact. N = 0 trials
+
+def _bootstrap_summary(values, replicas: list, n_boot: int) -> BootstrapResult:
+    """Quantiles of the replica infidelities ``values`` and the optimizer
+    outcome counts of the replica estimates ``replicas``. Without replicas
+    the counts were degenerate, and ``values`` holds the one estimate's
+    infidelity."""
+    values = np.asarray(values, dtype=float)
+    q25, med, q75 = np.quantile(values, [0.25, 0.5, 0.75])
+    return BootstrapResult(low=float(values.min()), high=float(values.max()),
+                           q25=float(q25), median=float(med), q75=float(q75),
+                           n_boot=n_boot, degenerate=not replicas,
+                           n_at_bound=sum(est.at_bound for est in replicas),
+                           n_not_converged=sum(not est.converged for est in replicas))
+
+
+def _trials(state: DensityMatrix, povm: Povm, draws, mle: MleConfig, n_boot: int):
+    """Yield one :class:`TrialResult` per ``(n, counts, boot_rng)`` in
+    ``draws``, in order, estimating every trial of ``draws`` in one batch.
+
+    With ``n_boot`` > 0, each trial's ``n_boot`` bootstrap replicas are
+    resampled from its counts, all in one draw from its ``boot_rng``. The
+    counts of every trial, each followed by its replicas, form one stack,
+    estimated in blocks of ``_REPLICA_BLOCK`` rows; a row's estimate does
+    not depend on its block. A trial is yielded once the block holding its
+    last row is done, so an error in a later block leaves the earlier trials
+    intact. The infidelities are taken against ``state``. N = 0 trials
     return the fiducial state; degenerate counts (one observed outcome) are
     estimated once and not resampled.
     """
-    if 0 < n_boot < 10:
-        raise InvalidInput("need n_boot >= 10")
-    probs = born_probabilities(povm, state)
+    _check_n_boot(n_boot)
     trials, rows, n_rows = [], [], 0  # trials: (n, counts, first row, number of rows)
-    for n, rng, boot_rng in draws:
-        counts = sample_counts(probs, n, rng)
+    for n, counts, boot_rng in draws:
         own = counts[None, :].astype(float) if n > 0 else np.empty((0, counts.size))
         if n_boot > 0 and np.count_nonzero(counts) > 1:
             own = np.concatenate([own, _resample(own[0], n_boot, boot_rng)])
@@ -228,7 +275,29 @@ def run_trial(state: DensityMatrix, povm: Povm, n: int, rng,
     the replicas from ``boot_rng``. This is a sweep of one trial: its result
     equals the sweep's for the same streams.
     """
-    return next(_trials(state, povm, [(n, rng, boot_rng)], mle, n_boot))
+    if n_boot > 0 and boot_rng is None:
+        raise InvalidInput("n_boot > 0 needs a boot_rng to draw the replicas from")
+    counts = sample_counts(born_probabilities(povm, state), n, rng)
+    return next(_trials(state, povm, [(n, counts, boot_rng)], mle, n_boot))
+
+
+def bootstrap_infidelity(counts, povm, reference, n_boot: int, rng,
+                         cfg: MleConfig = MleConfig()) -> BootstrapResult:
+    """Bootstrap spread of the infidelity versus a fixed reference state.
+
+    The bootstrap of a trial of one (see :func:`run_trial`) on the given
+    counts: they are resampled multinomially from the empirical frequencies,
+    all replicas in one draw from ``rng``, each replica is estimated exactly
+    as :func:`~pointtomo.estimator.estimate_theta` would, and the
+    infidelities of the replica estimates against ``reference`` (a
+    DensityMatrix) are summarized. Degenerate counts (a single observed
+    outcome) are estimated once, not resampled, and report no replica
+    estimates on the bound or unconverged.
+    """
+    if n_boot < 10:
+        raise InvalidInput("need n_boot >= 10")
+    counts = check_counts(counts, povm.n_outcomes)
+    return next(_trials(reference, povm, [(counts.sum(), counts, rng)], cfg, n_boot)).bootstrap
 
 
 def sweep_povm(cfg: SweepConfig) -> Povm:
@@ -246,7 +315,8 @@ def _sweep_rows(povm: Povm, rho: DensityMatrix, cfg: SweepConfig, items):
     its optimizer outcome counts: (point estimate on the bound, point
     estimate unconverged, replicas on the bound, replicas unconverged). All
     of ``items`` are estimated in one batch."""
-    draws = [(n, trial_rng(cfg.seed, i, t),
+    probs = born_probabilities(povm, rho)
+    draws = [(n, sample_counts(probs, n, trial_rng(cfg.seed, i, t)),
               trial_rng(cfg.seed, i, t, stream=1) if cfg.n_boot else None)
              for i, n, t in items]
     for (_, n, t), trial in zip(items, _trials(rho, povm, draws, cfg.mle, cfg.n_boot)):

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import disk_theta
-from pointtomo import estimator
+from pointtomo import estimator, simulate
 from pointtomo.errors import DegenerateInput, InvalidInput
-from pointtomo.estimator import (MleConfig, _neg_log_likelihood, bootstrap_infidelity,
-                                 estimate_state, estimate_theta, fit_power_law)
+from pointtomo.estimator import (MleConfig, _neg_log_likelihood, estimate_state,
+                                 estimate_theta, fit_power_law)
 from pointtomo.fisher import PROBABILITY_FLOOR
 from pointtomo.povm import Povm
-from pointtomo.simulate import (NoiseConfig, SweepConfig, prepared_state, sample_counts,
-                                trial_rng)
+from pointtomo.simulate import (NoiseConfig, SweepConfig, bootstrap_infidelity, prepared_state,
+                                sample_counts, trial_rng)
 from pointtomo.states import (born_probabilities, depolarize, equal_deviation_state,
                               fidelity, fiducial_state, neighborhood_state,
                               pure_probabilities)
@@ -225,7 +225,7 @@ class TestBootstrap:
         rho = depolarize(equal_deviation_state(0.2), 0.987)
         counts = np.random.default_rng(31).multinomial(n, born_probabilities(family_povm, rho))
         batched = []
-        estimate_rows = estimator._estimate_rows
+        estimate_rows = simulate._estimate_rows
 
         def recording(*args):
             rows = estimate_rows(*args)
@@ -233,8 +233,11 @@ class TestBootstrap:
             return rows
 
         with monkeypatch.context() as patch:
-            patch.setattr(estimator, "_estimate_rows", recording)
+            patch.setattr(simulate, "_estimate_rows", recording)
             res = bootstrap_infidelity(counts, family_povm, rho, 30, np.random.default_rng(32))
+        # the batch starts with the point estimate of the counts themselves
+        point, *batched = batched
+        assert np.array_equal(point.theta, estimate_theta(counts, family_povm).theta)
         draws = np.random.default_rng(32)
         loop = [estimate_theta(draws.multinomial(n, counts / counts.sum()), family_povm)
                 for _ in range(30)]
@@ -257,7 +260,7 @@ class TestBootstrap:
         rho = depolarize(equal_deviation_state(0.2), 0.987)
         counts = np.random.default_rng(33).multinomial(300, born_probabilities(family_povm, rho))
         whole = bootstrap_infidelity(counts, family_povm, rho, 30, np.random.default_rng(34))
-        monkeypatch.setattr(estimator, "_REPLICA_BLOCK", 7)
+        monkeypatch.setattr(simulate, "_REPLICA_BLOCK", 7)
         assert bootstrap_infidelity(counts, family_povm, rho, 30,
                                     np.random.default_rng(34)) == whole
 

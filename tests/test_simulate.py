@@ -8,9 +8,9 @@ from pointtomo.estimator import MleConfig, estimate_theta
 from pointtomo.fisher import asymptotic_infidelity_coefficient, c_norm
 from pointtomo.povm import Povm, effects_from_family, gauge_fix_effects
 from pointtomo.io import sweep_table_text
-from pointtomo.simulate import (NoiseConfig, SweepConfig, expected_infidelity_floor,
-                                perturb_effects, prepared_state, run_sweep, run_trial,
-                                sample_counts, trial_rng)
+from pointtomo.simulate import (NoiseConfig, SweepConfig, bootstrap_infidelity,
+                                expected_infidelity_floor, perturb_effects, prepared_state,
+                                run_sweep, run_trial, sample_counts, trial_rng)
 from pointtomo.states import (DensityMatrix, born_probabilities, depolarize,
                               equal_deviation_state, fidelity, fiducial_state)
 
@@ -104,6 +104,35 @@ class TestRunTrial:
             assert trial.infidelity == pytest.approx(1.0 - fidelity(fiducial_state(4), rho),
                                                      abs=1e-12)
             assert trial.bootstrap is None
+
+    def test_short_bootstrap_rejected(self, family_povm):
+        # the SweepConfig rule: 0 (no bootstrap) or at least 10 replicas
+        rho = depolarize(equal_deviation_state(0.1), 1.0)
+        for n_boot in (-3, 5):
+            with pytest.raises(InvalidInput, match="n_boot must be 0"):
+                run_trial(rho, family_povm, 1000, trial_rng(5, 0, 0), n_boot=n_boot,
+                          boot_rng=trial_rng(5, 0, 0, stream=1))
+
+    def test_bootstrap_needs_a_replica_stream(self, family_povm):
+        rho = depolarize(equal_deviation_state(0.1), 1.0)
+        with pytest.raises(InvalidInput, match="boot_rng"):
+            run_trial(rho, family_povm, 1000, trial_rng(5, 0, 0), n_boot=10)
+
+    @pytest.mark.parametrize("n", [1, 100, 10_000])
+    def test_bootstrap_infidelity_is_the_trial_bootstrap(self, family_povm, n):
+        # N=1 is degenerate, N=100 has replicas on the chart bound: both entry
+        # points take the same path, so their results are equal as a whole
+        seed, i, t = 5, 0, 2
+        rho = depolarize(equal_deviation_state(0.2), 0.987)
+        trial = run_trial(rho, family_povm, n, trial_rng(seed, i, t), n_boot=10,
+                          boot_rng=trial_rng(seed, i, t, stream=1))
+        counts = sample_counts(born_probabilities(family_povm, rho), n, trial_rng(seed, i, t))
+        boot = bootstrap_infidelity(counts, family_povm, rho, 10,
+                                    trial_rng(seed, i, t, stream=1))
+        assert boot == trial.bootstrap
+        assert boot.degenerate == (n == 1)
+        if n == 100:
+            assert boot.n_at_bound > 0
 
     def test_noisy_floor_scale(self, family_povm):
         # infinite-ensemble infidelity of the depolarized state sits at the
