@@ -12,15 +12,17 @@ neighborhood (a handful of outcomes cannot distinguish all pure states
 globally).
 
 The descent runs on a stack of starts, each row with its own outcome
-weights: one objective call evaluates every running row, one stacked
-eigendecomposition gives their Newton steps, and each row keeps its own line
-search and stops on its own. :func:`estimate_theta` descends one count
-vector's starts as such a stack; a sweep or a bootstrap
-(:mod:`pointtomo.simulate`) descends those of all its trials and their
-replicas together. Every per-row sum is taken elementwise, so a row's result
-does not depend on the stack it runs in: a bootstrap replica or a sweep
-trial gets the same estimate, bit for bit, as :func:`estimate_theta` on the
-same counts.
+weights: one objective call evaluates every running row, and each row keeps
+its own line search and stops on its own. One stacked Gauss-Jordan
+elimination gives the Newton steps of the rows whose Hessian it finds
+positive definite, most of them; only the other rows are eigendecomposed.
+:func:`estimate_theta` descends one count vector's starts as such a stack; a
+sweep or a bootstrap (:mod:`pointtomo.simulate`) descends those of all its
+trials and their replicas together. Every per-row sum is taken elementwise
+and every choice of path is made from the row's own values, so a row's
+result does not depend on the stack it runs in: a bootstrap replica or a
+sweep trial gets the same estimate, bit for bit, as :func:`estimate_theta`
+on the same counts.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ class MleConfig:
     seed: ClassVar[int] = 0               # start draws are a function of the config only
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise InvalidInput("tolerance must be positive")
+        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
+            raise InvalidInput(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.starts < 1:
             raise InvalidInput("starts must be >= 1")
 
@@ -123,13 +125,20 @@ def _neg_log_likelihood(effects: np.ndarray):
     Outcomes at the probability floor contribute a constant to the value and
     nothing to the gradient or Hessian. Every sum over outcomes or
     coordinates is an elementwise product summed along an axis, never a BLAS
-    product, so a row's result has the same bits in any stack.
+    product, so a row's result has the same bits in any stack. The Hessian
+    is formed on its lower triangle and mirrored, so it is exactly symmetric.
     """
     m = effects.shape[1] - 1
     conj_effects = effects.conj()
     jac = np.concatenate([conj_effects[:, 1:], 1j * conj_effects[:, 1:]], axis=1)
     gram = 2.0 * (jac.conj()[:, :, None] * jac[:, None, :]).real     # G_e, (K, 2m, 2m)
-    eye = np.eye(2 * m)
+    low_i, low_j = np.tril_indices(2 * m)                             # the 21 entries i >= j
+    gram_low = gram[:, low_i, low_j]                                  # (K, 21) for m = 3
+    eye_low = np.eye(2 * m)[low_i, low_j]
+    # mirror[2m i + j]: the index among the lower-triangle entries of (i, j) or (j, i)
+    mirror = np.empty((2 * m, 2 * m), dtype=int)
+    mirror[low_i, low_j] = mirror[low_j, low_i] = np.arange(len(low_i))
+    mirror = mirror.ravel()
 
     def objective(x, weights):
         v = np.concatenate([np.ones((len(x), 1)), x[:, :m] + 1j * x[:, m:]], axis=1)
@@ -143,11 +152,11 @@ def _neg_log_likelihood(effects: np.ndarray):
         u = 2.0 * np.concatenate([q.real, -q.imag], axis=2)              # (B, K, 2m)
         total = w.sum(axis=1)[:, None]
         grad = (2.0 * total / s[:, None]) * x - (r[:, :, None] * u).sum(axis=1)
-        curvature = ((r / z2)[:, :, None, None] * u[:, :, :, None] * u[:, :, None, :]
-                     - r[:, :, None, None] * gram).sum(axis=1)
-        hess = curvature + total[:, :, None] * (
-            (2.0 / s)[:, None, None] * eye
-            - (4.0 / s ** 2)[:, None, None] * x[:, :, None] * x[:, None, :])
+        curvature = ((r / z2)[:, :, None] * u[:, :, low_i] * u[:, :, low_j]
+                     - r[:, :, None] * gram_low).sum(axis=1)
+        hess_low = curvature + total * ((2.0 / s)[:, None] * eye_low
+                                        - (4.0 / s ** 2)[:, None] * x[:, low_i] * x[:, low_j])
+        hess = hess_low[:, mirror].reshape(len(x), 2 * m, 2 * m)
         return -(weights * np.log(p)).sum(axis=1), grad, hess
 
     return objective
@@ -156,17 +165,42 @@ def _neg_log_likelihood(effects: np.ndarray):
 def _newton_direction(x: np.ndarray, grad: np.ndarray, hess: np.ndarray,
                       bound: float) -> np.ndarray:
     """Newton steps for a stack of rows, on the coordinates that the gradient
-    does not hold at a face of the box; the Hessian's eigenvalues are taken in
-    absolute value (floored), so a step descends also where the objective is
-    not convex. Held coordinates are decoupled by an identity block, so that
-    one stacked eigendecomposition serves every row, and do not move."""
+    does not hold at a face of the box. Held coordinates are decoupled by an
+    identity block and do not move.
+
+    Gauss-Jordan elimination without pivoting runs on the augmented [H | g]
+    stack, one column at a time, and leaves H^-1 g in the last column. A
+    symmetric matrix whose pivots are all positive is positive definite, so a
+    row whose pivots all exceed 1e-8 max(1, max_j |H_jj|) takes the step
+    -H^-1 g. Only the other rows are eigendecomposed: their Hessian's
+    eigenvalues are taken in absolute value (floored), so a step descends
+    also where the objective is not convex. The choice and the arithmetic of
+    a row depend on its own Hessian alone.
+    """
     held = ((x >= bound) & (grad < 0)) | ((x <= -bound) & (grad > 0))
-    hess = np.where(held[:, :, None] | held[:, None, :], np.eye(x.shape[1]), hess)
-    lam, vec = np.linalg.eigh(hess)
-    lam = np.abs(lam)
-    lam = np.maximum(lam, 1e-10 * np.maximum(1.0, lam.max(axis=1, keepdims=True)))
-    coef = (vec * np.where(held, 0.0, grad)[:, :, None]).sum(axis=1) / lam
-    return np.where(held, 0.0, -(vec * coef[:, None, :]).sum(axis=2))
+    n = x.shape[1]
+    hess = np.where(held[:, :, None] | held[:, None, :], np.eye(n), hess)
+    grad = np.where(held, 0.0, grad)
+    # the stack axis last: every slice below is contiguous along the rows
+    a = np.concatenate([hess, grad[:, :, None]], axis=2).transpose(1, 2, 0).copy()
+    tiny = 1e-8 * np.maximum(1.0, np.abs(np.diagonal(hess, axis1=1, axis2=2)).max(axis=1))
+    definite = np.ones(len(x), dtype=bool)
+    for k in range(n):
+        definite &= a[k, k] > tiny
+        # a failed pivot becomes inf and zeroes its multipliers, so a stack row
+        # stops eliminating at its first failed pivot and stays finite
+        row = a[k, k:] / np.where(definite, a[k, k], np.inf)
+        a[:, k:] -= a[:, k, None] * row
+        a[k, k:] = row
+    step = -a[:, n].T
+    rest = ~definite
+    if rest.any():
+        lam, vec = np.linalg.eigh(hess[rest])
+        lam = np.abs(lam)
+        lam = np.maximum(lam, 1e-10 * np.maximum(1.0, lam.max(axis=1, keepdims=True)))
+        coef = (vec * grad[rest][:, :, None]).sum(axis=1) / lam
+        step[rest] = -(vec * coef[:, None, :]).sum(axis=2)
+    return np.where(held, 0.0, step)
 
 
 def _descend(objective, x: np.ndarray, weights: np.ndarray, cfg: MleConfig) -> tuple:
@@ -198,7 +232,8 @@ def _descend(objective, x: np.ndarray, weights: np.ndarray, cfg: MleConfig) -> t
                     axis=1) <= cfg.tolerance
         converged[rows] = ok
         rows = rows[~ok & (steps[rows] < cfg.max_iterations)]
-        direction[rows] = _newton_direction(x[rows], grad[rows], hess[rows], bound)
+        if rows.size:
+            direction[rows] = _newton_direction(x[rows], grad[rows], hess[rows], bound)
         t[rows] = 1.0
         return rows
 
@@ -231,34 +266,40 @@ def _estimate_rows(effects: np.ndarray, counts: np.ndarray, cfg: MleConfig) -> l
     weights = counts / counts.sum(axis=1, keepdims=True)
     objective = _neg_log_likelihood(effects)
 
-    def at_bound(x):
-        return bool(np.max(np.abs(x)) >= bound * (1.0 - 1e-9))
+    def pinned(x):
+        """Rows of x with some |Re/Im theta_j| on the chart bound."""
+        return np.max(np.abs(x), axis=1) >= bound * (1.0 - 1e-9)
 
     def tie_tol(best):
-        return 50.0 * max(cfg.tolerance, 1e-14) * max(1.0, abs(best))
+        return 50.0 * max(cfg.tolerance, 1e-14) * np.maximum(1.0, np.abs(best))
 
     linearized = np.clip(_linearized_theta(effects, weights), -bound, bound)
     x0 = np.stack([np.zeros_like(linearized), linearized], axis=1).reshape(-1, 2 * m)
     f, x, ok = _descend(objective, x0, np.repeat(weights, 2, axis=0), cfg)
-    candidates = [list(zip(f[i:i + 2], x[i:i + 2], ok[i:i + 2])) for i in range(0, len(f), 2)]
-    retry = [row for row, ((f0, xa, _), (f1, xb, _)) in enumerate(candidates)
-             if abs(f0 - f1) > tie_tol(min(f0, f1)) or at_bound(xa) or at_bound(xb)]
-    if retry:
+    edge = pinned(x)
+    candidates = [list(zip(f[i:i + 2], x[i:i + 2], ok[i:i + 2], edge[i:i + 2]))
+                  for i in range(0, len(f), 2)]
+    pair = f.reshape(-1, 2)
+    retry = np.flatnonzero((np.abs(pair[:, 0] - pair[:, 1]) > tie_tol(pair.min(axis=1)))
+                           | edge.reshape(-1, 2).any(axis=1))
+    if retry.size:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
         starts = np.array([_random_start(rng, m, cfg.start_radius) for _ in range(cfg.starts)])
         f, x, ok = _descend(objective, np.tile(starts, (len(retry), 1)),
                             np.repeat(weights[retry], cfg.starts, axis=0), cfg)
+        edge = pinned(x)
         for i, row in enumerate(retry):
             block = slice(i * cfg.starts, (i + 1) * cfg.starts)
-            candidates[row].extend(zip(f[block], x[block], ok[block]))
+            candidates[row].extend(zip(f[block], x[block], ok[block], edge[block]))
 
     picks = []
     for found in candidates:
-        best = min(f for f, _, _ in found)
-        tied = [(x, ok) for f, x, ok in found if f <= best + tie_tol(best)]
-        x_star, converged = min(tied, key=lambda t: float(t[0] @ t[0]))
+        best = min(f for f, *_ in found)
+        cut = best + tie_tol(best)
+        tied = [(x, ok, on_edge) for f, x, ok, on_edge in found if f <= cut]
+        x_star, converged, on_edge = min(tied, key=lambda t: float(t[0] @ t[0]))
         picks.append((x_star[:m] + 1j * x_star[m:], len(found), len(tied), bool(converged),
-                      at_bound(x_star)))
+                      bool(on_edge)))
     states = [neighborhood_state(theta) for theta, *_ in picks]
     p = pure_probabilities(effects, np.array([state.amps for state in states]))
     logliks = (counts * np.log(np.maximum(p, PROBABILITY_FLOOR))).sum(axis=1)

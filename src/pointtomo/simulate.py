@@ -54,8 +54,9 @@ class NoiseConfig:
 
     def __post_init__(self):
         check_in_range(self.lam, 0.0, 1.0, "lam")
-        if self.systematic_epsilon < 0:
-            raise InvalidInput("systematic_epsilon must be >= 0")
+        if not (np.isfinite(self.systematic_epsilon) and self.systematic_epsilon >= 0):
+            raise InvalidInput("systematic_epsilon must be finite and >= 0, "
+                               f"got {self.systematic_epsilon}")
 
 
 @dataclass(frozen=True)
@@ -174,8 +175,8 @@ def perturb_effects(povm: Povm, epsilon: float, rng) -> Povm:
     phase convention is re-fixed afterwards. epsilon = 0 returns the input
     unchanged.
     """
-    if epsilon < 0:
-        raise InvalidInput("epsilon must be >= 0")
+    if not (np.isfinite(epsilon) and epsilon >= 0):
+        raise InvalidInput(f"epsilon must be finite and >= 0, got {epsilon}")
     if epsilon == 0:
         return povm
     d = povm.dim

@@ -174,6 +174,14 @@ class TestSimulateCommand:
             assert "configuration error" in capsys.readouterr().err
             assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_is_config_error(self, tmp_path, capsys, epsilon):
+        out = tmp_path / "s.csv"
+        assert run_cli("simulate", "--theta", "0.01", "--n-grid", "1000", "--reps", "2",
+                       "--seed", "3", "--epsilon", epsilon, "--out", str(out)) == 2
+        assert "systematic_epsilon" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_plot_output(self, tmp_path):
         out, svg = tmp_path / "s.csv", tmp_path / "s.svg"
         assert run_cli("simulate", "--theta", "0.01", "--n-grid", "50,200", "--reps", "2",

@@ -60,6 +60,57 @@ def below_floor_point(family_povm):
     return objective, x, h
 
 
+def outer_product_hessian(effects, x, weights):
+    """The objective's Hessian with its curvature formed as the full (K, 2m, 2m)
+    stack of outer products per outcome, summed over outcomes: the reference
+    for the lower-triangle form of :func:`_neg_log_likelihood`."""
+    m = effects.shape[1] - 1
+    conj_effects = effects.conj()
+    jac = np.concatenate([conj_effects[:, 1:], 1j * conj_effects[:, 1:]], axis=1)
+    gram = 2.0 * (jac.conj()[:, :, None] * jac[:, None, :]).real
+    v = np.concatenate([np.ones((len(x), 1)), x[:, :m] + 1j * x[:, m:]], axis=1)
+    s = 1.0 + (x * x).sum(axis=1)
+    p = np.maximum(pure_probabilities(effects, v / np.sqrt(s)[:, None]), PROBABILITY_FLOOR)
+    w = np.where(p > PROBABILITY_FLOOR, weights, 0.0)
+    z2 = p * s[:, None]
+    r = w / z2
+    q = (conj_effects * v[:, None, :]).sum(axis=2).conj()[:, :, None] * conj_effects[:, 1:]
+    u = 2.0 * np.concatenate([q.real, -q.imag], axis=2)
+    total = w.sum(axis=1)[:, None]
+    curvature = ((r / z2)[:, :, None, None] * u[:, :, :, None] * u[:, :, None, :]
+                 - r[:, :, None, None] * gram).sum(axis=1)
+    return curvature + total[:, :, None] * (
+        (2.0 / s)[:, None, None] * np.eye(2 * m)
+        - (4.0 / s ** 2)[:, None, None] * x[:, :, None] * x[:, None, :])
+
+
+def eigen_direction(x, grad, hess, bound):
+    """The Newton step from one eigendecomposition per row, eigenvalues taken in
+    absolute value (floored): the reference for :func:`_newton_direction`."""
+    held = ((x >= bound) & (grad < 0)) | ((x <= -bound) & (grad > 0))
+    hess = np.where(held[:, :, None] | held[:, None, :], np.eye(x.shape[1]), hess)
+    lam, vec = np.linalg.eigh(hess)
+    lam = np.abs(lam)
+    lam = np.maximum(lam, 1e-10 * np.maximum(1.0, lam.max(axis=1, keepdims=True)))
+    coef = (vec * np.where(held, 0.0, grad)[:, :, None]).sum(axis=1) / lam
+    return np.where(held, 0.0, -(vec * coef[:, None, :]).sum(axis=2))
+
+
+def symmetric_stack(rng, eigenvalues):
+    """Exactly symmetric Q diag(lam) Q^T with a random orthogonal Q, one per row
+    of ``eigenvalues``."""
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigenvalues), 6, 6)))
+    h = (q * eigenvalues[:, None, :]) @ q.transpose(0, 2, 1)
+    return 0.5 * (h + h.transpose(0, 2, 1))
+
+
+def newton_inputs(rng, eigenvalues):
+    """(x, grad, hess) with x strictly inside the chart box: no held coordinate."""
+    rows = len(eigenvalues)
+    return (rng.uniform(-0.5, 0.5, (rows, 6)), rng.standard_normal((rows, 6)),
+            symmetric_stack(rng, eigenvalues))
+
+
 def pinned_probabilities(family_povm):
     """Noiseless theta = 0.5 state: Re theta_j = 0.707 lies outside the chart box."""
     return born_probabilities(family_povm, depolarize(equal_deviation_state(0.5), 1.0))
@@ -111,6 +162,13 @@ class TestEstimateState:
             estimate_state(np.ones(5), family_povm)
 
 
+class TestMleConfig:
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        with pytest.raises(InvalidInput, match="tolerance"):
+            MleConfig(tolerance=tolerance)
+
+
 class TestObjectiveGradient:
     def test_matches_central_differences_in_chart_box(self, family_povm):
         for objective, x in chart_box_points(family_povm):
@@ -135,6 +193,98 @@ class TestObjectiveHessian:
         hess = objective(x)[2]
         assert np.all(np.isfinite(hess))
         assert np.max(np.abs(hess - central_differences(objective, x, h, part=1))) <= 1e-7
+
+    def test_exactly_symmetric_with_the_outer_product_lower_triangle(self, family_povm):
+        rng = np.random.default_rng(25)
+        bound = MleConfig().chart_bound
+        floored = below_floor_point(family_povm)[1]
+        x = np.vstack([rng.uniform(-bound, bound, (20, 6)), np.zeros((1, 6)), floored,
+                       floored + 1e-3])
+        weights = rng.dirichlet(np.ones(7), len(x))
+        weights[::4, 3] = 0.0                     # unobserved outcomes
+        low = np.tril_indices(6)
+        hess = _neg_log_likelihood(family_povm.effects)(x, weights)[2]
+        assert np.array_equal(hess, hess.transpose(0, 2, 1))
+        reference = outer_product_hessian(family_povm.effects, x, weights)
+        assert np.array_equal(hess[:, low[0], low[1]], reference[:, low[0], low[1]])
+
+
+class TestNewtonDirection:
+    BOUND = MleConfig().chart_bound
+
+    @pytest.fixture
+    def eigh_rows(self, monkeypatch):
+        """Record the number of rows of every eigendecomposition."""
+        rows = []
+        eigh = np.linalg.eigh
+
+        def recording(a):
+            rows.append(len(a))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        return rows
+
+    def test_positive_definite_rows_match_the_eigen_step(self, family_povm, eigh_rows):
+        rng = np.random.default_rng(41)
+        x, grad, hess = newton_inputs(rng, rng.uniform(0.1, 10.0, (200, 6)))
+        # and the objective's own Hessians near the maximum-likelihood point
+        theta = disk_theta(rng, 3, 0.2)
+        weights = np.tile(exact_frequencies(family_povm, theta), (20, 1))
+        near = np.concatenate([theta.real, theta.imag]) + rng.uniform(-1e-3, 1e-3, (20, 6))
+        _, near_grad, near_hess = _neg_log_likelihood(family_povm.effects)(near, weights)
+        x, grad, hess = (np.vstack(pair) for pair in
+                         ((x, near), (grad, near_grad), (hess, near_hess)))
+        step = estimator._newton_direction(x, grad, hess, self.BOUND)
+        reference = eigen_direction(x, grad, hess, self.BOUND)
+        assert eigh_rows == [len(x)]              # the reference's only
+        scale = np.max(np.abs(reference), axis=1)
+        assert np.all(np.max(np.abs(step - reference), axis=1) <= 1e-12 * scale)
+
+    def test_indefinite_rows_take_the_eigen_step_bit_for_bit(self, eigh_rows):
+        rng = np.random.default_rng(42)
+        lam = rng.uniform(0.1, 10.0, (100, 6)) * rng.choice([-1.0, 1.0], (100, 6))
+        lam[:, 0] = -np.abs(lam[:, 0])
+        x, grad, hess = newton_inputs(rng, lam)
+        x[::3, 1] = self.BOUND                    # some rows hold a coordinate
+        grad[::3, 1] = -1.0
+        step = estimator._newton_direction(x, grad, hess, self.BOUND)
+        assert eigh_rows == [100]
+        assert np.array_equal(step, eigen_direction(x, grad, hess, self.BOUND))
+
+    def test_held_coordinates_stay_exactly_zero(self):
+        rng = np.random.default_rng(43)
+        lam = rng.uniform(0.1, 10.0, (40, 6))
+        lam[20:, 2] = -1.0                        # 20 definite rows, 20 indefinite
+        x, grad, hess = newton_inputs(rng, lam)
+        x[:, 0], grad[:, 0] = self.BOUND, -1.0    # pushed out through the upper face
+        x[:, 4], grad[:, 4] = -self.BOUND, 2.0    # and through the lower face
+        x[:, 5], grad[:, 5] = self.BOUND, 1.0     # on the face, pulled inwards: free
+        step = estimator._newton_direction(x, grad, hess, self.BOUND)
+        assert np.all(step[:, [0, 4]] == 0.0)
+        assert np.all(step[:, [1, 2, 3, 5]] != 0.0)
+        free = [1, 2, 3, 5]
+        newton = -np.linalg.solve(hess[:20][:, free][:, :, free], grad[:20, free, None])[..., 0]
+        assert np.allclose(step[:20, free], newton, rtol=1e-12, atol=0.0)
+
+    def test_a_row_gets_the_same_step_alone_as_in_a_mixed_stack(self, eigh_rows):
+        rng = np.random.default_rng(44)
+        lam = rng.uniform(0.1, 10.0, (12, 6))
+        lam[3:6, 1] = -0.5                        # indefinite
+        lam[6:8, 0] = 1e-13                       # near-singular, below the pivot floor
+        lam[8, 0] = 0.0                           # singular
+        x, grad, hess = newton_inputs(rng, lam)
+        x[9:, 3], grad[9:, 3] = -self.BOUND, 1.0  # held
+        step = estimator._newton_direction(x, grad, hess, self.BOUND)
+        assert eigh_rows == [6]                   # the indefinite and (near-)singular rows
+        for i in range(len(x)):
+            alone = estimator._newton_direction(x[i:i + 1], grad[i:i + 1], hess[i:i + 1],
+                                                self.BOUND)
+            assert np.array_equal(alone[0], step[i]), i
+        order = rng.permutation(len(x))
+        assert np.array_equal(
+            estimator._newton_direction(x[order], grad[order], hess[order], self.BOUND),
+            step[order])
 
 
 class TestStartPolicy:

@@ -66,6 +66,13 @@ class TestPerturbEffects:
         with pytest.raises(InvalidInput):
             perturb_effects(family_povm, -0.1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_non_finite_strength_rejected(self, family_povm, epsilon):
+        with pytest.raises(InvalidInput):
+            perturb_effects(family_povm, epsilon, np.random.default_rng(0))
+        with pytest.raises(InvalidInput, match="systematic_epsilon"):
+            NoiseConfig(systematic_epsilon=epsilon)
+
     @pytest.mark.parametrize("epsilon", [1e-3, 0.05, 0.3])
     def test_rotation_is_unitary(self, epsilon):
         # the identity POVM's rotated effects are the rows of the rotation,
