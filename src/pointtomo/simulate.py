@@ -7,14 +7,14 @@ derived from the master seed and the (grid index, trial index) pair, so a
 sweep is reproducible bit for bit regardless of execution order or worker
 count.
 
-A sweep is one batch of estimates: the counts of every trial and, with a
-bootstrap, its replicas (drawn from the trial's second stream) are stacked
-and estimated together, in blocks of ``_REPLICA_BLOCK`` rows. A row's
-estimate does not depend on the stack it runs in, so each trial equals
-:func:`run_trial` on its own, and a trial's bootstrap equals
+A sweep's unit of work is a contiguous group of whole trials: the counts of
+each trial and, with a bootstrap, its replicas (drawn from the trial's second
+stream) are stacked and estimated together, at most ``_REPLICA_BLOCK`` rows
+per batch. The groups run the same way in this process or on a pool of
+workers. A row's estimate does not depend on the stack it runs in, so each
+trial equals :func:`run_trial` on its own, and a trial's bootstrap equals
 :func:`bootstrap_infidelity` on its counts: both are one-trial cases of the
-same path. With several workers, each takes a contiguous chunk of the
-trials as its own batch.
+same path.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice
 
 import numpy as np
 
@@ -34,9 +33,9 @@ from .states import (DensityMatrix, StateVector, born_probabilities, depolarize,
                      equal_deviation_state, fiducial_state, fidelity)
 from .validation import check_counts, check_in_range, check_probability_vector
 
-# Rows estimated per batch: bounds the (rows, K, 2m, 2m) curvature
-# temporaries of a large bootstrap or sweep. Rows are independent, so the
-# block size does not change any estimate.
+# Rows estimated per batch: sets the trials per sweep group and bounds the
+# (rows, K, 2m, 2m) curvature temporaries of a large bootstrap or sweep.
+# Rows are independent, so the block size does not change any estimate.
 _REPLICA_BLOCK = 256
 
 
@@ -212,59 +211,48 @@ def _bootstrap_summary(values, replicas: list, n_boot: int) -> BootstrapResult:
                            n_not_converged=sum(not est.converged for est in replicas))
 
 
-def _trials(state: DensityMatrix, povm: Povm, draws, mle: MleConfig, n_boot: int):
-    """Yield one :class:`TrialResult` per ``(n, counts, boot_rng)`` in
-    ``draws``, in order, estimating every trial of ``draws`` in one batch.
+def _trials(state: DensityMatrix, povm: Povm, draws: list, mle: MleConfig,
+            n_boot: int) -> list:
+    """One :class:`TrialResult` per ``(n, counts, boot_rng)`` in ``draws``, in
+    order, estimating every trial of ``draws`` in one batch.
 
     With ``n_boot`` > 0, each trial's ``n_boot`` bootstrap replicas are
     resampled from its counts, all in one draw from its ``boot_rng``. The
     counts of every trial, each followed by its replicas, form one stack,
-    estimated in blocks of ``_REPLICA_BLOCK`` rows; a row's estimate does
-    not depend on its block. A trial is yielded once the block holding its
-    last row is done, so an error in a later block leaves the earlier trials
-    intact. The infidelities are taken against ``state``. N = 0 trials
-    return the fiducial state; degenerate counts (one observed outcome) are
-    estimated once and not resampled.
+    estimated in one call; only a stack of more than ``_REPLICA_BLOCK`` rows
+    (a single trial with a large bootstrap) is estimated in block-sized
+    slices. A row's estimate does not depend on its stack. The infidelities
+    are taken against ``state``. N = 0 trials return the fiducial state;
+    degenerate counts (one observed outcome) are estimated once and not
+    resampled.
     """
     _check_n_boot(n_boot)
-    trials, rows, n_rows = [], [], 0  # trials: (n, counts, first row, number of rows)
+    rows = []
     for n, counts, boot_rng in draws:
         own = counts[None, :].astype(float) if n > 0 else np.empty((0, counts.size))
         if n_boot > 0 and np.count_nonzero(counts) > 1:
             own = np.concatenate([own, _resample(own[0], n_boot, boot_rng)])
-        trials.append((n, counts, n_rows, len(own)))
         rows.append(own)
-        n_rows += len(own)
     stack = np.concatenate(rows)
-    block = _REPLICA_BLOCK
-
-    def estimates():
-        """The estimates of the stack's rows, one block at a time, on demand."""
-        for start in range(0, len(stack), block):
-            try:
-                batch = _estimate_rows(povm.effects, stack[start:start + block], mle)
-            except Exception as exc:
-                failed = sorted({m for m, _, lo, k in trials
-                                 if lo < start + block and lo + k > start})
-                raise type(exc)(f"trials with N={', '.join(map(str, failed))} failed: "
-                                f"{exc}") from exc
-            yield from batch
-
-    stream = estimates()
-    for n, counts, _, size in trials:
-        own = list(islice(stream, size))
+    estimates = [est for start in range(0, len(stack), _REPLICA_BLOCK)
+                 for est in _estimate_rows(povm.effects, stack[start:start + _REPLICA_BLOCK], mle)]
+    results, first = [], 0
+    for (n, counts, _), trial_rows in zip(draws, rows):
+        own, first = estimates[first:first + len(trial_rows)], first + len(trial_rows)
         if n == 0:
             estimate = fiducial_state(povm.dim)
-            yield TrialResult(n=n, counts=counts, estimate=estimate,
-                              infidelity=1.0 - fidelity(estimate, state), at_bound=False,
-                              converged=True)
+            results.append(TrialResult(n=n, counts=counts, estimate=estimate,
+                                       infidelity=1.0 - fidelity(estimate, state),
+                                       at_bound=False, converged=True))
             continue
         values = [1.0 - fidelity(est.state, state) for est in own]
         boot = None
         if n_boot > 0:   # without replicas (degenerate counts) the point estimate stands in
             boot = _bootstrap_summary(values[1:] or values, own[1:], n_boot)
-        yield TrialResult(n=n, counts=counts, estimate=own[0].state, infidelity=values[0],
-                          at_bound=own[0].at_bound, converged=own[0].converged, bootstrap=boot)
+        results.append(TrialResult(n=n, counts=counts, estimate=own[0].state,
+                                   infidelity=values[0], at_bound=own[0].at_bound,
+                                   converged=own[0].converged, bootstrap=boot))
+    return results
 
 
 def run_trial(state: DensityMatrix, povm: Povm, n: int, rng,
@@ -279,7 +267,7 @@ def run_trial(state: DensityMatrix, povm: Povm, n: int, rng,
     if n_boot > 0 and boot_rng is None:
         raise InvalidInput("n_boot > 0 needs a boot_rng to draw the replicas from")
     counts = sample_counts(born_probabilities(povm, state), n, rng)
-    return next(_trials(state, povm, [(n, counts, boot_rng)], mle, n_boot))
+    return _trials(state, povm, [(n, counts, boot_rng)], mle, n_boot)[0]
 
 
 def bootstrap_infidelity(counts, povm, reference, n_boot: int, rng,
@@ -298,12 +286,19 @@ def bootstrap_infidelity(counts, povm, reference, n_boot: int, rng,
     if n_boot < 10:
         raise InvalidInput("need n_boot >= 10")
     counts = check_counts(counts, povm.n_outcomes)
-    return next(_trials(reference, povm, [(counts.sum(), counts, rng)], cfg, n_boot)).bootstrap
+    return _trials(reference, povm, [(counts.sum(), counts, rng)], cfg, n_boot)[0].bootstrap
 
 
-def sweep_povm(cfg: SweepConfig) -> Povm:
-    """Measurement of the sweep, before any systematic misalignment."""
-    return effects_from_family(load_device(cfg.device), cfg.subset, cfg.phases)
+def sweep_povm(cfg: SweepConfig, povm: Povm | None = None) -> Povm:
+    """Measurement the sweep samples: ``povm`` (by default the configured
+    device family) under the configured systematic misalignment, drawn from
+    the master seed's root stream."""
+    if povm is None:
+        povm = effects_from_family(load_device(cfg.device), cfg.subset, cfg.phases)
+    if cfg.noise.systematic_epsilon > 0:
+        povm = perturb_effects(povm, cfg.noise.systematic_epsilon,
+                               np.random.default_rng(np.random.SeedSequence(cfg.seed)))
+    return povm
 
 
 def prepared_state(cfg: SweepConfig, dim: int) -> DensityMatrix:
@@ -311,64 +306,62 @@ def prepared_state(cfg: SweepConfig, dim: int) -> DensityMatrix:
     return depolarize(equal_deviation_state(cfg.theta_scalar, dim), cfg.noise.lam)
 
 
-def _sweep_rows(povm: Povm, rho: DensityMatrix, cfg: SweepConfig, items):
-    """Yield the table row of each (grid index, N, trial) in ``items``, with
-    its optimizer outcome counts: (point estimate on the bound, point
-    estimate unconverged, replicas on the bound, replicas unconverged). All
-    of ``items`` are estimated in one batch."""
+def _sweep_rows(povm: Povm, rho: DensityMatrix, cfg: SweepConfig, group) -> list:
+    """The table row of each (grid index, N, trial) in ``group``, with its
+    optimizer outcome counts: (point estimate on the bound, point estimate
+    unconverged, replicas on the bound, replicas unconverged). The group is
+    estimated as one batch."""
     probs = born_probabilities(povm, rho)
     draws = [(n, sample_counts(probs, n, trial_rng(cfg.seed, i, t)),
               trial_rng(cfg.seed, i, t, stream=1) if cfg.n_boot else None)
-             for i, n, t in items]
-    for (_, n, t), trial in zip(items, _trials(rho, povm, draws, cfg.mle, cfg.n_boot)):
+             for i, n, t in group]
+    out = []
+    for (_, n, t), trial in zip(group, _trials(rho, povm, draws, cfg.mle, cfg.n_boot)):
         boot = trial.bootstrap
         row = (float(n), float(t), trial.infidelity) + ((np.nan,) * 5 if boot is None
                                                          else boot.as_row())
         replicas = (0, 0) if boot is None else (boot.n_at_bound, boot.n_not_converged)
-        yield row, (int(trial.at_bound), int(not trial.converged)) + replicas
-
-
-def _chunk_rows(povm: Povm, rho: DensityMatrix, cfg: SweepConfig, items) -> list:
-    """The rows of :func:`_sweep_rows` for one worker's chunk of items."""
-    return list(_sweep_rows(povm, rho, cfg, items))
+        out.append((row, (int(trial.at_bound), int(not trial.converged)) + replicas))
+    return out
 
 
 def run_sweep(cfg: SweepConfig, povm: Povm | None = None, workers: int = 1) -> SweepResult:
     """Execute all (N, trial) work items of a sweep.
 
-    The items are estimated as one batch (see :func:`run_trial`), or, with
-    more than one worker, as one batch per worker on contiguous chunks of
-    the items. The result is deterministic given (config, seed) and
-    independent of ``workers``, which is capped at the number of work items.
-    Any trial error aborts with a :class:`SweepError` carrying the partial
-    result, flagged as such: the rows of the trials finished before the
-    failing one, or, with a pool, those of the chunks before the failing
-    chunk.
+    The items are split into contiguous groups of whole trials, at most
+    ``_REPLICA_BLOCK // (1 + n_boot)`` trials and at least ``workers``
+    groups, and each group is estimated as one batch (see
+    :func:`run_trial`). The same function maps over the groups in this
+    process or, with more than one worker, on a process pool; ``workers``
+    is capped at the number of work items. The result is deterministic given
+    (config, seed) and independent of ``workers``. Any trial error aborts
+    with a :class:`SweepError` naming the failing group's N values and
+    carrying the partial result, flagged as such: the rows of the groups
+    finished before the failing one.
     """
     if workers < 1:
         raise InvalidInput(f"workers must be >= 1, got {workers}")
-    if povm is None:
-        povm = sweep_povm(cfg)
+    povm = sweep_povm(cfg, povm)
     rho = prepared_state(cfg, povm.dim)
-    if cfg.noise.systematic_epsilon > 0:
-        povm = perturb_effects(povm, cfg.noise.systematic_epsilon,
-                               np.random.default_rng(np.random.SeedSequence(cfg.seed)))
     items = [(i, n, t) for i, n in enumerate(cfg.n_grid) for t in range(cfg.repetitions)]
     # the fork start method launches every requested process at the first submit
     workers = min(workers, len(items))
-    rows, outcomes = [], (0, 0, 0, 0)   # SweepResult's outcome counts, in field order
+    per_group = max(1, _REPLICA_BLOCK // (1 + cfg.n_boot))
+    k = max(workers, -(-len(items) // per_group))   # number of groups
+    groups = [items[g * len(items) // k:(g + 1) * len(items) // k] for g in range(k)]
+    rows, outcomes, done = [], (0, 0, 0, 0), 0   # outcomes in SweepResult's field order
     try:
         with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-            # the built POVM and state travel to the workers with each chunk, unvalidated
-            chunks = (pool.map(partial(_chunk_rows, povm, rho, cfg),
-                               [items[k * len(items) // workers:(k + 1) * len(items) // workers]
-                                for k in range(workers)])
-                      if pool else [_sweep_rows(povm, rho, cfg, items)])
-            for row, counts in chain.from_iterable(chunks):
-                rows.append(row)
-                outcomes = tuple(a + b for a, b in zip(outcomes, counts))
+            # the built POVM and state travel to the workers with each group, unvalidated
+            for group in (pool.map if pool else map)(partial(_sweep_rows, povm, rho, cfg),
+                                                     groups):
+                for row, counts in group:
+                    rows.append(row)
+                    outcomes = tuple(a + b for a, b in zip(outcomes, counts))
+                done += 1
     except Exception as exc:
-        raise SweepError(f"sweep aborted: {exc}",
+        failed = ", ".join(map(str, sorted({n for _, n, _ in groups[done]})))
+        raise SweepError(f"sweep aborted: trials with N={failed} failed: {exc}",
                          partial=SweepResult(tuple(rows), True, *outcomes, workers)) from exc
     return SweepResult(tuple(rows), False, *outcomes, workers)
 

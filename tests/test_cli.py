@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from pointtomo.assets import U7_NAME, asset_text
+from pointtomo import cli
 from pointtomo.cli import main
+from pointtomo.fisher import asymptotic_infidelity_coefficient
 from pointtomo.io import (atomic_write_text, metadata_record, read_sweep_table,
                           sweep_table_text)
 from pointtomo.estimator import MleConfig
-from pointtomo.simulate import (NoiseConfig, SweepConfig, SweepResult, run_sweep, run_trial,
+from pointtomo.simulate import (NoiseConfig, SweepConfig, SweepResult,
+                                expected_infidelity_floor, perturb_effects, run_sweep, run_trial,
                                 trial_rng)
 from pointtomo.states import depolarize, equal_deviation_state
 
@@ -190,6 +193,24 @@ class TestSimulateCommand:
         text = svg.read_text()
         assert text.startswith("<svg") and "</svg>" in text
         assert "polyline" in text and "circle" in text
+
+    def test_plot_models_the_misaligned_povm(self, tmp_path, monkeypatch, family_povm):
+        # the model curve takes its floor and coefficient from the POVM the
+        # sweep measured, misalignment included, not from the aligned family
+        drawn = []
+        monkeypatch.setattr(cli, "sweep_plot_svg", lambda table, **model: drawn.append(model)
+                            or "<svg/>")
+        assert run_cli("simulate", "--theta", "0.2", "--lambda", "0.987", "--epsilon", "0.3",
+                       "--n-grid", "1000", "--reps", "1", "--seed", "3", "--mle-starts", "1",
+                       "--workers", "1", "--out", str(tmp_path / "s.csv"),
+                       "--plot", str(tmp_path / "s.svg")) == 0
+        measured = perturb_effects(family_povm, 0.3,
+                                   np.random.default_rng(np.random.SeedSequence(3)))
+        coef = asymptotic_infidelity_coefficient(measured)
+        assert coef == pytest.approx(5.529, abs=5e-4)
+        rho = depolarize(equal_deviation_state(0.2), 0.987)
+        assert drawn == [{"gm_coefficient": 3, "model_coefficient": coef,
+                          "model_floor": expected_infidelity_floor(rho, measured)}]
 
 
 class TestOtherCommands:

@@ -15,6 +15,30 @@ from pointtomo.states import (DensityMatrix, born_probabilities, depolarize,
                               equal_deviation_state, fidelity, fiducial_state)
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool with a recording stand-in that maps in this
+    process, so no real pool is started at any size; returns the list of the
+    pool sizes asked for."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
 class TestSampleCounts:
     def test_deterministic_outcome(self):
         counts = sample_counts([1.0, 0.0, 0.0], 100, np.random.default_rng(0))
@@ -246,39 +270,22 @@ class TestRunSweep:
         slope = np.polyfit(np.log(ns), np.log([means[n] for n in ns]), 1)[0]
         assert -1.1 < slope < -0.9
 
-    def test_pool_is_capped_at_the_work_items(self, family_povm, monkeypatch):
-        # a recording stand-in, so no real pool is started at any size
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_is_capped_at_the_work_items(self, family_povm, pool_sizes):
         cfg = SweepConfig(theta_scalar=0.01, n_grid=(50, 100), repetitions=2, seed=1,
                           mle=MleConfig(starts=1))
         serial = run_sweep(cfg, povm=family_povm, workers=1)
-        assert sizes == []
+        assert pool_sizes == []
         assert run_sweep(cfg, povm=family_povm, workers=64).rows == serial.rows
-        assert sizes == [4]
+        assert pool_sizes == [4]
         for workers in (0, -3):
             with pytest.raises(InvalidInput):
                 run_sweep(cfg, povm=family_povm, workers=workers)
         assert main(["simulate", "--theta", "0.01", "--n-grid", "50", "--seed", "1",
                      "--workers", "0"]) == 2
-        assert sizes == [4]
+        assert pool_sizes == [4]
 
-    def test_trial_error_aborts_with_partial_flag(self, monkeypatch):
-        # blocks of 2 rows: the second block, trials 2 and 3, fails
+    @staticmethod
+    def fail_second_batch(monkeypatch):
         calls = {"n": 0}
         original = sim._estimate_rows
 
@@ -289,6 +296,10 @@ class TestRunSweep:
             return original(effects, counts, cfg)
 
         monkeypatch.setattr(sim, "_estimate_rows", flaky)
+
+    def test_trial_error_aborts_with_partial_flag(self, monkeypatch):
+        # blocks of 2 rows: the second group, trials 2 and 3, fails
+        self.fail_second_batch(monkeypatch)
         monkeypatch.setattr(sim, "_REPLICA_BLOCK", 2)
         cfg = SweepConfig(theta_scalar=0.01, n_grid=(50,), repetitions=4, seed=1,
                           mle=MleConfig(starts=2))
@@ -297,6 +308,49 @@ class TestRunSweep:
         assert excinfo.value.partial.partial
         assert len(excinfo.value.partial.rows) == 2
         assert "N=50" in str(excinfo.value)
+
+    def test_pool_error_keeps_the_groups_before_it(self, family_povm, monkeypatch, pool_sizes):
+        # two workers, two groups: the N=100 group fails after the N=50 group
+        cfg = SweepConfig(theta_scalar=0.01, n_grid=(50, 100), repetitions=2, seed=1,
+                          mle=MleConfig(starts=1))
+        serial = run_sweep(cfg, povm=family_povm, workers=1)
+        self.fail_second_batch(monkeypatch)
+        with pytest.raises(SweepError) as excinfo:
+            run_sweep(cfg, povm=family_povm, workers=2)
+        assert pool_sizes == [2]
+        partial = excinfo.value.partial
+        assert partial.partial and partial.workers == 2
+        assert partial.rows == serial.rows[:2]
+        assert "N=100 failed: synthetic estimator failure" in str(excinfo.value)
+        assert "N=50" not in str(excinfo.value)
+
+    @pytest.mark.parametrize("n_boot", [0, 10])
+    def test_batches_are_bounded_and_hold_whole_trials(self, family_povm, monkeypatch, n_boot):
+        # 7-row batches: 12 point estimates go in two groups of 6 trials; a
+        # trial with 10 replicas is a group of its own, estimated as 7 + 4 rows
+        cfg = SweepConfig(theta_scalar=0.2, n_grid=(100, 1000, 10_000), repetitions=4,
+                          noise=NoiseConfig(lam=0.987), seed=5, n_boot=n_boot,
+                          mle=MleConfig(starts=2))
+        whole = run_sweep(cfg, povm=family_povm)
+        batches = []
+        original = sim._estimate_rows
+
+        def recording(effects, counts, mle):
+            batches.append(counts)
+            return original(effects, counts, mle)
+
+        monkeypatch.setattr(sim, "_estimate_rows", recording)
+        monkeypatch.setattr(sim, "_REPLICA_BLOCK", 7)
+        assert run_sweep(cfg, povm=family_povm).rows == whole.rows
+        probs = born_probabilities(family_povm, prepared_state(cfg, family_povm.dim))
+        trials = [sample_counts(probs, n, trial_rng(cfg.seed, i, t))
+                  for i, n in enumerate(cfg.n_grid) for t in range(cfg.repetitions)]
+        if n_boot == 0:
+            assert [len(b) for b in batches] == [6, 6]
+            assert np.array_equal(np.concatenate(batches), trials)
+        else:
+            assert [len(b) for b in batches] == [7, 4] * len(trials)
+            assert all(np.array_equal(b[0], counts) for b, counts in zip(batches[::2], trials))
 
     def test_systematic_epsilon_changes_results(self, family_povm):
         base = SweepConfig(theta_scalar=0.01, n_grid=(500,), repetitions=3, seed=3,
