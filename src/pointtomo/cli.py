@@ -25,8 +25,9 @@ from .io import (atomic_write_text, config_hash, read_sweep_table, sweep_table_t
 from .plotting import sweep_plot_svg
 from .povm import (effects_from_family, enumerate_families, haar_mean_c_norm,
                    load_device, optimize_phases)
-from .simulate import (NoiseConfig, SweepConfig, bootstrap_infidelity, expected_infidelity_floor,
-                       prepared_state, run_sweep, sample_counts, sweep_povm, trial_rng)
+from .simulate import (NoiseConfig, SweepConfig, bootstrap_infidelity, check_theta_scalar,
+                       expected_infidelity_floor, prepared_state, run_sweep, sample_counts,
+                       sweep_povm, trial_rng)
 from .states import born_probabilities, depolarize, equal_deviation_state
 
 
@@ -166,6 +167,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
+    check_theta_scalar(args.theta)
     povm = _family_povm(args)
     rho = depolarize(equal_deviation_state(args.theta, povm.dim), args.lam)
     if args.counts is not None:

@@ -16,13 +16,12 @@ weights: one objective call evaluates every running row, and each row keeps
 its own line search and stops on its own. One stacked Gauss-Jordan
 elimination gives the Newton steps of the rows whose Hessian it finds
 positive definite, most of them; only the other rows are eigendecomposed.
-:func:`estimate_theta` descends one count vector's starts as such a stack; a
-sweep or a bootstrap (:mod:`pointtomo.simulate`) descends those of all its
-trials and their replicas together. Every per-row sum is taken elementwise
-and every choice of path is made from the row's own values, so a row's
-result does not depend on the stack it runs in: a bootstrap replica or a
-sweep trial gets the same estimate, bit for bit, as :func:`estimate_theta`
-on the same counts.
+A sweep or a bootstrap (:mod:`pointtomo.simulate`) descends the starts of
+all its trials and replicas together and gets its estimates as arrays;
+:func:`estimate_theta` is the one-row case, and the only place that builds
+an :class:`MleResult`. Every per-row sum is taken elementwise and every
+choice of path is made from the row's own values, so a row's estimate does
+not depend on its stack: it equals :func:`estimate_theta`'s bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import numpy as np
 
 from .errors import DegenerateInput, InvalidInput
 from .fisher import PROBABILITY_FLOOR
-from .states import StateVector, neighborhood_state, pure_probabilities
+from .states import StateVector, chart_amplitudes, neighborhood_state, pure_probabilities
 from .validation import check_counts
 
 @dataclass(frozen=True)
@@ -90,12 +89,8 @@ def _linearized_theta(effects: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     row's solution does not depend on the rest of the stack.
     """
     a0 = effects[:, 0].real
-    d = effects.shape[1]
-    design = np.empty((effects.shape[0], 2 * (d - 1)))
-    for j in range(d - 1):
-        caj = effects[:, j + 1].conj()
-        design[:, j] = 2.0 * a0 * caj.real
-        design[:, d - 1 + j] = -2.0 * a0 * caj.imag
+    conj = effects[:, 1:].conj()
+    design = 2.0 * a0[:, None] * np.concatenate([conj.real, -conj.imag], axis=1)
     return (np.linalg.pinv(design) * (freqs - a0 ** 2)[:, None, :]).sum(axis=2)
 
 
@@ -253,60 +248,59 @@ def _descend(objective, x: np.ndarray, weights: np.ndarray, cfg: MleConfig) -> t
     return f, x, converged
 
 
-def _estimate_rows(effects: np.ndarray, counts: np.ndarray, cfg: MleConfig) -> list:
-    """One :class:`MleResult` per row of an (R, K) stack of validated counts.
+def on_chart_bound(x: np.ndarray) -> np.ndarray:
+    """Rows of x (real chart coordinates on the last axis) with some
+    |coordinate| on the chart bound."""
+    return np.max(np.abs(x), axis=-1) >= MleConfig.chart_bound * (1.0 - 1e-9)
+
+
+def _estimate_rows(effects: np.ndarray, counts: np.ndarray, cfg: MleConfig) -> tuple:
+    """Estimates of an (R, K) stack of validated counts, as arrays in
+    :class:`MleResult`'s field order without ``state``: theta (R, d-1),
+    log-likelihood, candidates, tied candidates, converged and at-bound.
 
     The two fixed starts of every row descend as one batch. The rows whose
     fixed starts end at different optima or on the chart bound then get
     cfg.starts random starts each, all in a second batch; the random starts
-    are a function of the config only, the same for every row.
+    are a function of the config only, the same for every row. The optimum
+    is chosen over (rows, candidates) arrays, +inf in the random-start slots
+    of rows that did not retry: the best value, then the tied point closest
+    to the fiducial, first in start order.
     """
     m = effects.shape[1] - 1
     bound = cfg.chart_bound
     weights = counts / counts.sum(axis=1, keepdims=True)
     objective = _neg_log_likelihood(effects)
-
-    def pinned(x):
-        """Rows of x with some |Re/Im theta_j| on the chart bound."""
-        return np.max(np.abs(x), axis=1) >= bound * (1.0 - 1e-9)
+    shape = (len(counts), 2 + cfg.starts)
+    f, x, ok = np.full(shape, np.inf), np.zeros(shape + (2 * m,)), np.zeros(shape, dtype=bool)
 
     def tie_tol(best):
         return 50.0 * max(cfg.tolerance, 1e-14) * np.maximum(1.0, np.abs(best))
 
     linearized = np.clip(_linearized_theta(effects, weights), -bound, bound)
     x0 = np.stack([np.zeros_like(linearized), linearized], axis=1).reshape(-1, 2 * m)
-    f, x, ok = _descend(objective, x0, np.repeat(weights, 2, axis=0), cfg)
-    edge = pinned(x)
-    candidates = [list(zip(f[i:i + 2], x[i:i + 2], ok[i:i + 2], edge[i:i + 2]))
-                  for i in range(0, len(f), 2)]
-    pair = f.reshape(-1, 2)
-    retry = np.flatnonzero((np.abs(pair[:, 0] - pair[:, 1]) > tie_tol(pair.min(axis=1)))
-                           | edge.reshape(-1, 2).any(axis=1))
-    if retry.size:
+    found = _descend(objective, x0, np.repeat(weights, 2, axis=0), cfg)
+    f[:, :2], x[:, :2], ok[:, :2] = (a.reshape((-1, 2) + a.shape[1:]) for a in found)
+    retry = ((np.abs(f[:, 0] - f[:, 1]) > tie_tol(f[:, :2].min(axis=1)))
+             | on_chart_bound(x[:, :2]).any(axis=1))
+    if retry.any():
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
         starts = np.array([_random_start(rng, m, cfg.start_radius) for _ in range(cfg.starts)])
-        f, x, ok = _descend(objective, np.tile(starts, (len(retry), 1)),
-                            np.repeat(weights[retry], cfg.starts, axis=0), cfg)
-        edge = pinned(x)
-        for i, row in enumerate(retry):
-            block = slice(i * cfg.starts, (i + 1) * cfg.starts)
-            candidates[row].extend(zip(f[block], x[block], ok[block], edge[block]))
+        found = _descend(objective, np.tile(starts, (np.count_nonzero(retry), 1)),
+                         np.repeat(weights[retry], cfg.starts, axis=0), cfg)
+        f[retry, 2:], x[retry, 2:], ok[retry, 2:] = (
+            a.reshape((-1, cfg.starts) + a.shape[1:]) for a in found)
 
-    picks = []
-    for found in candidates:
-        best = min(f for f, *_ in found)
-        cut = best + tie_tol(best)
-        tied = [(x, ok, on_edge) for f, x, ok, on_edge in found if f <= cut]
-        x_star, converged, on_edge = min(tied, key=lambda t: float(t[0] @ t[0]))
-        picks.append((x_star[:m] + 1j * x_star[m:], len(found), len(tied), bool(converged),
-                      bool(on_edge)))
-    states = [neighborhood_state(theta) for theta, *_ in picks]
-    p = pure_probabilities(effects, np.array([state.amps for state in states]))
-    logliks = (counts * np.log(np.maximum(p, PROBABILITY_FLOOR))).sum(axis=1)
-    return [MleResult(theta=theta, log_likelihood=float(loglik), n_candidates=n_candidates,
-                      n_tied=n_tied, converged=converged, at_bound=pinned, state=state)
-            for (theta, n_candidates, n_tied, converged, pinned), loglik, state
-            in zip(picks, logliks, states)]
+    best = f.min(axis=1)
+    tied = f <= (best + tie_tol(best))[:, None]
+    norm2 = (x[:, :, None, :] @ x[:, :, :, None])[:, :, 0, 0]       # x @ x, by dot
+    pick = (np.arange(len(f)), np.where(tied, norm2, np.inf).argmin(axis=1))
+    x_star = x[pick]
+    theta = x_star[:, :m] + 1j * x_star[:, m:]
+    p = pure_probabilities(effects, chart_amplitudes(theta))
+    loglik = (counts * np.log(np.maximum(p, PROBABILITY_FLOOR))).sum(axis=1)
+    return (theta, loglik, 2 + cfg.starts * retry, tied.sum(axis=1), ok[pick],
+            on_chart_bound(x_star))
 
 
 def estimate_theta(counts, povm, cfg: MleConfig = MleConfig()) -> MleResult:
@@ -316,7 +310,8 @@ def estimate_theta(counts, povm, cfg: MleConfig = MleConfig()) -> MleResult:
     is deterministic given (cfg, counts).
     """
     counts = check_counts(counts, povm.effects.shape[0])
-    return _estimate_rows(povm.effects, counts[None, :], cfg)[0]
+    theta, *fields = (a[0] for a in _estimate_rows(povm.effects, counts[None, :], cfg))
+    return MleResult(theta, *(a.item() for a in fields), state=neighborhood_state(theta))
 
 
 def estimate_state(counts, povm, cfg: MleConfig = MleConfig()) -> StateVector:

@@ -155,9 +155,7 @@ def cfim_numeric(povm, theta, step: float = 1e-5) -> FisherBlocks:
 
     m = theta.size
     deriv = np.empty((m, f.size), dtype=complex)
-    for j in range(m):
-        e = np.zeros(m, dtype=complex)
-        e[j] = 1.0
+    for j, e in enumerate(np.eye(m, dtype=complex)):
         d_re = (log_probs(theta + step * e) - log_probs(theta - step * e)) / (2.0 * step)
         d_im = (log_probs(theta + 1j * step * e) - log_probs(theta - 1j * step * e)) / (2.0 * step)
         deriv[j] = 0.5 * (d_re - 1j * d_im)

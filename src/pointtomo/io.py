@@ -72,21 +72,17 @@ def read_sweep_table(path: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def metadata_record(config_digest: str, seed: int, extra: dict | None = None,
-                    timestamp: bool = True) -> dict:
+def metadata_record(config_digest: str, seed: int, extra: dict | None = None) -> dict:
     from . import __version__
 
-    record = {
+    return {
         "config_hash": config_digest,
         "seed": seed,
         "versions": {"pointtomo": __version__, "numpy": np.__version__},
         "blas_threads": blas_threads(),
+        **(extra or {}),
+        "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    if extra:
-        record.update(extra)
-    if timestamp:
-        record["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return record
 
 
 def config_hash(obj) -> str:

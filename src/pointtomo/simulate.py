@@ -27,10 +27,10 @@ from functools import partial
 import numpy as np
 
 from .errors import InvalidInput, SweepError
-from .estimator import MleConfig, _estimate_rows, estimate_state
+from .estimator import MleConfig, _estimate_rows, estimate_state, on_chart_bound
 from .povm import Povm, effects_from_family, gauge_fix_effects, load_device
-from .states import (DensityMatrix, StateVector, born_probabilities, depolarize,
-                     equal_deviation_state, fiducial_state, fidelity)
+from .states import (DensityMatrix, StateVector, born_probabilities, chart_amplitudes,
+                     depolarize, equal_deviation_state, fidelities, fidelity)
 from .validation import check_counts, check_in_range, check_probability_vector
 
 # Rows estimated per batch: sets the trials per sweep group and bounds the
@@ -42,6 +42,15 @@ _REPLICA_BLOCK = 256
 def _check_n_boot(n_boot: int) -> None:
     if n_boot != 0 and n_boot < 10:
         raise InvalidInput(f"n_boot must be 0 (no bootstrap) or >= 10, got {n_boot}")
+
+
+def check_theta_scalar(theta_scalar: float) -> None:
+    """Reject a prepared state outside the box the estimator searches: its chart
+    coordinates, sqrt(theta_scalar) each, must be off the bound by the
+    estimator's own test, so 0.35 passes and 0.36 does not."""
+    if not theta_scalar >= 0 or on_chart_bound(np.sqrt([theta_scalar])):
+        raise InvalidInput(f"theta_scalar must be >= 0 with sqrt(theta_scalar) below the "
+                           f"chart bound {MleConfig.chart_bound}, got {theta_scalar}")
 
 
 @dataclass(frozen=True)
@@ -79,8 +88,7 @@ class SweepConfig:
             raise InvalidInput("n_grid must be strictly increasing with entries >= 1")
         if self.repetitions < 1:
             raise InvalidInput("repetitions must be >= 1")
-        if self.theta_scalar < 0:
-            raise InvalidInput("theta_scalar must be >= 0")
+        check_theta_scalar(self.theta_scalar)
         _check_n_boot(self.n_boot)
         object.__setattr__(self, "n_grid", grid)
         object.__setattr__(self, "subset", tuple(int(s) for s in self.subset))
@@ -145,8 +153,7 @@ class SweepResult:
 
     def points(self) -> np.ndarray:
         """(N, infidelity) pairs of every trial, for power-law fitting."""
-        arr = self.as_array()
-        return arr[:, :3:2]
+        return self.as_array()[:, :3:2]
 
 
 def trial_rng(master_seed: int, grid_index: int, trial: int, stream: int = 0):
@@ -197,34 +204,21 @@ def _resample(counts: np.ndarray, n_boot: int, rng) -> np.ndarray:
     return rng.multinomial(n, counts / total, size=n_boot).astype(float)
 
 
-def _bootstrap_summary(values, replicas: list, n_boot: int) -> BootstrapResult:
-    """Quantiles of the replica infidelities ``values`` and the optimizer
-    outcome counts of the replica estimates ``replicas``. Without replicas
-    the counts were degenerate, and ``values`` holds the one estimate's
-    infidelity."""
-    values = np.asarray(values, dtype=float)
-    q25, med, q75 = np.quantile(values, [0.25, 0.5, 0.75])
-    return BootstrapResult(low=float(values.min()), high=float(values.max()),
-                           q25=float(q25), median=float(med), q75=float(q75),
-                           n_boot=n_boot, degenerate=not replicas,
-                           n_at_bound=sum(est.at_bound for est in replicas),
-                           n_not_converged=sum(not est.converged for est in replicas))
-
-
 def _trials(state: DensityMatrix, povm: Povm, draws: list, mle: MleConfig,
-            n_boot: int) -> list:
-    """One :class:`TrialResult` per ``(n, counts, boot_rng)`` in ``draws``, in
-    order, estimating every trial of ``draws`` in one batch.
-
-    With ``n_boot`` > 0, each trial's ``n_boot`` bootstrap replicas are
-    resampled from its counts, all in one draw from its ``boot_rng``. The
-    counts of every trial, each followed by its replicas, form one stack,
-    estimated in one call; only a stack of more than ``_REPLICA_BLOCK`` rows
-    (a single trial with a large bootstrap) is estimated in block-sized
-    slices. A row's estimate does not depend on its stack. The infidelities
-    are taken against ``state``. N = 0 trials return the fiducial state;
+            n_boot: int) -> tuple:
+    """Estimate and score every ``(n, counts, boot_rng)`` in ``draws`` in one
+    batch: the counts of every trial, each followed by its ``n_boot``
+    replicas (resampled in one draw from its ``boot_rng``), form one stack,
+    estimated in one call (in block-sized slices beyond ``_REPLICA_BLOCK``
+    rows) and scored at once. N = 0 trials return the fiducial state;
     degenerate counts (one observed outcome) are estimated once and not
-    resampled.
+    resampled, and the point estimate stands in for their replicas.
+
+    Returns per trial: the point estimate's amplitudes (T, d) and infidelity
+    against ``state`` (T,); the replica infidelities' (low, q25, median, q75,
+    high) (T, 5), None without a bootstrap; and (T, 5) counts of the point
+    estimate on the bound and unconverged, of the replicas on the bound and
+    unconverged, and of the replicas.
     """
     _check_n_boot(n_boot)
     rows = []
@@ -234,25 +228,36 @@ def _trials(state: DensityMatrix, povm: Povm, draws: list, mle: MleConfig,
             own = np.concatenate([own, _resample(own[0], n_boot, boot_rng)])
         rows.append(own)
     stack = np.concatenate(rows)
-    estimates = [est for start in range(0, len(stack), _REPLICA_BLOCK)
-                 for est in _estimate_rows(povm.effects, stack[start:start + _REPLICA_BLOCK], mle)]
-    results, first = [], 0
-    for (n, counts, _), trial_rows in zip(draws, rows):
-        own, first = estimates[first:first + len(trial_rows)], first + len(trial_rows)
-        if n == 0:
-            estimate = fiducial_state(povm.dim)
-            results.append(TrialResult(n=n, counts=counts, estimate=estimate,
-                                       infidelity=1.0 - fidelity(estimate, state),
-                                       at_bound=False, converged=True))
-            continue
-        values = [1.0 - fidelity(est.state, state) for est in own]
-        boot = None
-        if n_boot > 0:   # without replicas (degenerate counts) the point estimate stands in
-            boot = _bootstrap_summary(values[1:] or values, own[1:], n_boot)
-        results.append(TrialResult(n=n, counts=counts, estimate=own[0].state,
-                                   infidelity=values[0], at_bound=own[0].at_bound,
-                                   converged=own[0].converged, bootstrap=boot))
-    return results
+    blocks = [_estimate_rows(povm.effects, stack[start:start + _REPLICA_BLOCK], mle)
+              for start in range(0, max(len(stack), 1), _REPLICA_BLOCK)]
+    theta, _, _, _, converged, at_bound = (np.concatenate(a) for a in zip(*blocks))
+    # a last row at theta = 0, converged and off the bound, is the N = 0 trials' estimate
+    amps = chart_amplitudes(np.concatenate([theta, np.zeros((1, povm.dim - 1))]))
+    values = 1.0 - fidelities(amps, state)
+    converged, at_bound = np.append(converged, True), np.append(at_bound, False)
+    sizes = np.array([len(own) for own in rows])
+    estimated = np.array([n > 0 for n, _, _ in draws])
+    point = np.where(estimated, np.cumsum(sizes) - sizes, len(stack))
+    replicas = sizes - estimated
+    has = (replicas > 0)[:, None]
+    own = np.where(has, point[:, None] + 1 + np.arange(n_boot), point[:, None])
+    outcomes = np.column_stack([at_bound[point], ~converged[point], (at_bound[own] & has).sum(1),
+                                (~converged[own] & has).sum(1), replicas])
+    boot = values[own]
+    spread = np.column_stack([boot.min(axis=1), *np.quantile(boot, [0.25, 0.5, 0.75], axis=1),
+                              boot.max(axis=1)]) if n_boot else None
+    return amps[point], values[point], spread, outcomes
+
+
+def _one_trial(state: DensityMatrix, povm: Povm, n, counts: np.ndarray, boot_rng,
+               mle: MleConfig, n_boot: int) -> TrialResult:
+    """:func:`_trials` on one draw, as a :class:`TrialResult`; N = 0 has no bootstrap."""
+    amps, values, spread, outcomes = _trials(state, povm, [(n, counts, boot_rng)], mle, n_boot)
+    at_bound, not_converged, n_at_bound, n_not_converged, replicas = outcomes[0].tolist()
+    boot = None if spread is None or n == 0 else BootstrapResult(
+        *spread[0, [0, 4, 1, 2, 3]].tolist(), n_boot, not replicas, n_at_bound, n_not_converged)
+    return TrialResult(n, counts, StateVector(amps[0]), values[0].item(), bool(at_bound),
+                       not not_converged, boot)
 
 
 def run_trial(state: DensityMatrix, povm: Povm, n: int, rng,
@@ -267,7 +272,7 @@ def run_trial(state: DensityMatrix, povm: Povm, n: int, rng,
     if n_boot > 0 and boot_rng is None:
         raise InvalidInput("n_boot > 0 needs a boot_rng to draw the replicas from")
     counts = sample_counts(born_probabilities(povm, state), n, rng)
-    return _trials(state, povm, [(n, counts, boot_rng)], mle, n_boot)[0]
+    return _one_trial(state, povm, n, counts, boot_rng, mle, n_boot)
 
 
 def bootstrap_infidelity(counts, povm, reference, n_boot: int, rng,
@@ -286,7 +291,7 @@ def bootstrap_infidelity(counts, povm, reference, n_boot: int, rng,
     if n_boot < 10:
         raise InvalidInput("need n_boot >= 10")
     counts = check_counts(counts, povm.n_outcomes)
-    return _trials(reference, povm, [(counts.sum(), counts, rng)], cfg, n_boot)[0].bootstrap
+    return _one_trial(reference, povm, counts.sum(), counts, rng, cfg, n_boot).bootstrap
 
 
 def sweep_povm(cfg: SweepConfig, povm: Povm | None = None) -> Povm:
@@ -310,19 +315,15 @@ def _sweep_rows(povm: Povm, rho: DensityMatrix, cfg: SweepConfig, group) -> list
     """The table row of each (grid index, N, trial) in ``group``, with its
     optimizer outcome counts: (point estimate on the bound, point estimate
     unconverged, replicas on the bound, replicas unconverged). The group is
-    estimated as one batch."""
+    estimated and scored as one batch."""
     probs = born_probabilities(povm, rho)
     draws = [(n, sample_counts(probs, n, trial_rng(cfg.seed, i, t)),
               trial_rng(cfg.seed, i, t, stream=1) if cfg.n_boot else None)
              for i, n, t in group]
-    out = []
-    for (_, n, t), trial in zip(group, _trials(rho, povm, draws, cfg.mle, cfg.n_boot)):
-        boot = trial.bootstrap
-        row = (float(n), float(t), trial.infidelity) + ((np.nan,) * 5 if boot is None
-                                                         else boot.as_row())
-        replicas = (0, 0) if boot is None else (boot.n_at_bound, boot.n_not_converged)
-        out.append((row, (int(trial.at_bound), int(not trial.converged)) + replicas))
-    return out
+    _, values, spread, outcomes = _trials(rho, povm, draws, cfg.mle, cfg.n_boot)
+    spread = [(np.nan,) * 5] * len(group) if spread is None else map(tuple, spread.tolist())
+    return [((float(n), float(t), value) + boot, tuple(counts)) for (_, n, t), value, boot, counts
+            in zip(group, values.tolist(), spread, outcomes[:, :4].tolist())]
 
 
 def run_sweep(cfg: SweepConfig, povm: Povm | None = None, workers: int = 1) -> SweepResult:
@@ -374,6 +375,4 @@ def expected_infidelity_floor(rho: DensityMatrix, povm: Povm,
     the preparation is noisy or sits outside the exactly identifiable
     neighborhood.
     """
-    probs = born_probabilities(povm, rho)
-    est = estimate_state(probs, povm, mle)
-    return 1.0 - fidelity(est, rho)
+    return 1.0 - fidelity(estimate_state(born_probabilities(povm, rho), povm, mle), rho)

@@ -74,20 +74,27 @@ class DensityMatrix:
 
 
 def fiducial_state(dim: int) -> StateVector:
-    """The target state |0> in dimension ``dim``."""
-    amps = np.zeros(dim, dtype=complex)
-    amps[0] = 1.0
-    return StateVector(amps)
+    """The target state |0> in dimension ``dim``: the chart at theta = 0."""
+    return neighborhood_state(np.zeros(dim - 1))
+
+
+def chart_amplitudes(theta: np.ndarray) -> np.ndarray:
+    """Amplitudes (|0> + sum_j theta_j |j>)/norm, normalized exactly, of each
+    row of an (R, d-1) stack of chart parameters.
+
+    The squared norm sums the dot products of the real and of the imaginary
+    parts, as ``np.linalg.norm`` does; a stacked 1 x d by d x 1 matmul calls
+    that BLAS dot on every row, so a row gets the same bits in any stack.
+    """
+    v = np.concatenate([np.ones((len(theta), 1), dtype=complex), theta], axis=1)
+    re, im = v.real[:, None, :], v.imag[:, None, :]
+    return v / np.sqrt(re @ re.mT + im @ im.mT)[:, 0]
 
 
 def neighborhood_state(theta) -> StateVector:
-    """State of the local chart at parameter ``theta`` (length d-1).
-
-    Returns (|0> + sum_j theta_j |j>) normalized exactly.
-    """
-    theta = check_local_parameters(theta)
-    v = np.concatenate(([1.0 + 0.0j], theta))
-    return StateVector(v / np.linalg.norm(v))
+    """State of the local chart at parameter ``theta`` (length d-1): the
+    one-row case of :func:`chart_amplitudes`."""
+    return StateVector(chart_amplitudes(check_local_parameters(theta)[None, :])[0])
 
 
 def equal_deviation_state(theta_scalar: float, dim: int = 4) -> StateVector:
@@ -113,14 +120,24 @@ def depolarize(psi: StateVector, lam: float) -> DensityMatrix:
     return DensityMatrix(mat)
 
 
+def fidelities(amps: np.ndarray, rho: DensityMatrix) -> np.ndarray:
+    """<psi| rho |psi> for each row psi of an (R, d) stack of amplitudes.
+
+    Stacked matmuls call BLAS per row, gemv for rho times the column and dot
+    for the row times that, so each row gets the same bits in any stack.
+    """
+    val = (amps.conj()[:, None, :] @ (rho.mat @ amps[:, :, None]))[:, 0, 0]
+    if (np.abs(val.imag) > 1e-10).any():
+        raise ConsistencyError(f"fidelity has imaginary residue {np.abs(val.imag).max()}")
+    return np.minimum(np.maximum(val.real, 0.0), 1.0)
+
+
 def fidelity(psi: StateVector, rho: DensityMatrix) -> float:
-    """<psi| rho |psi>, the fidelity of a pure state with a mixed one."""
+    """<psi| rho |psi>, the fidelity of a pure state with a mixed one: the
+    one-row case of :func:`fidelities`."""
     if psi.dim != rho.dim:
         raise InvalidInput(f"dimension mismatch: state d={psi.dim}, density matrix d={rho.dim}")
-    val = np.vdot(psi.amps, rho.mat @ psi.amps)
-    if abs(val.imag) > 1e-10:
-        raise ConsistencyError(f"fidelity has imaginary residue {val.imag}")
-    return float(min(max(val.real, 0.0), 1.0))
+    return float(fidelities(psi.amps[None, :], rho)[0])
 
 
 def born_probabilities(povm, rho: DensityMatrix) -> np.ndarray:

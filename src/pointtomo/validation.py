@@ -11,23 +11,16 @@ import numpy as np
 
 from .errors import InvalidInput
 
-PROBABILITY_NAME = "probabilities"
 PROBABILITY_TOL = 1e-9
 
 
-def check_complex_vector(x, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite 1-D complex array."""
-    arr = np.asarray(x, dtype=complex)
-    if arr.ndim != 1:
-        raise InvalidInput(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInput(f"{name} contains non-finite entries")
-    return arr
-
-
 def check_local_parameters(theta, dim: int | None = None) -> np.ndarray:
-    """Validate a local parameter vector (d-1 complex deviations)."""
-    arr = check_complex_vector(theta, "theta")
+    """Validate a local parameter vector (d-1 finite complex deviations)."""
+    arr = np.asarray(theta, dtype=complex)
+    if arr.ndim != 1:
+        raise InvalidInput(f"theta must be one-dimensional, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInput("theta contains non-finite entries")
     if arr.size < 1:
         raise InvalidInput("theta must have at least one entry (d >= 2)")
     if dim is not None and arr.size != dim - 1:
@@ -47,12 +40,12 @@ def check_square_matrix(m, name: str = "matrix") -> np.ndarray:
 def check_probability_vector(p) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1:
-        raise InvalidInput(f"{PROBABILITY_NAME} must be one-dimensional")
+        raise InvalidInput("probabilities must be one-dimensional")
     if np.any(arr < -PROBABILITY_TOL) or not np.all(np.isfinite(arr)):
-        raise InvalidInput(f"{PROBABILITY_NAME} must be nonnegative and finite")
+        raise InvalidInput("probabilities must be nonnegative and finite")
     total = float(arr.sum())
     if abs(total - 1.0) > PROBABILITY_TOL:
-        raise InvalidInput(f"{PROBABILITY_NAME} must sum to 1 within {PROBABILITY_TOL}, "
+        raise InvalidInput(f"probabilities must sum to 1 within {PROBABILITY_TOL}, "
                            f"got {total}")
     return np.clip(arr, 0.0, None)
 

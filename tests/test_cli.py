@@ -1,4 +1,5 @@
 import json
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -177,6 +178,18 @@ class TestSimulateCommand:
             assert "configuration error" in capsys.readouterr().err
             assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [("simulate", "--n-grid", "100", "--workers", "1"),
+                                         ("bootstrap", "--n", "100")])
+    def test_theta_outside_the_chart_box_is_config_error(self, tmp_path, capsys, command):
+        # sqrt(0.37) > 0.6 = MleConfig.chart_bound: the estimator cannot reach the truth
+        out = tmp_path / "x.csv"
+        assert run_cli(*command, "--theta", "0.37", "--seed", "1", "--out", str(out)) == 2
+        assert "chart bound" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert run_cli(*command, "--theta", "0.3", "--boot", "10", "--mle-starts", "1",
+                       "--seed", "1", "--out", str(out)) == 0
+        assert out.exists()
+
     @pytest.mark.parametrize("epsilon", ["nan", "inf"])
     def test_non_finite_epsilon_is_config_error(self, tmp_path, capsys, epsilon):
         out = tmp_path / "s.csv"
@@ -332,10 +345,11 @@ class TestIoHelpers:
         assert list(tmp_path.iterdir()) == []
 
     def test_metadata_record_fields(self):
-        rec = metadata_record("deadbeef", 7, extra={"rows": 2}, timestamp=False)
+        rec = metadata_record("deadbeef", 7, extra={"rows": 2})
         assert rec["config_hash"] == "deadbeef"
+        assert rec["seed"] == 7
         assert rec["rows"] == 2
-        assert "timestamp" not in rec
+        assert datetime.fromisoformat(rec["timestamp"]).tzinfo is not None
 
     def test_read_rejects_foreign_header(self, tmp_path):
         from pointtomo.errors import InvalidInput

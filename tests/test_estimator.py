@@ -327,6 +327,38 @@ class TestStartPolicy:
                 assert res.n_candidates == 2 and res.converged and not res.at_bound, (n, t)
 
 
+class TestEstimateRows:
+    def test_columns_are_estimate_theta_per_row_in_any_stack(self, family_povm):
+        # N = 100 off-model counts: some rows retry with random starts, some end
+        # on the bound; permuting or splitting the stack changes no row's columns
+        rho = depolarize(equal_deviation_state(0.2), 0.987)
+        counts = np.random.default_rng(60).multinomial(
+            100, born_probabilities(family_povm, rho), size=24).astype(float)
+        cfg = MleConfig(starts=4)
+        whole = estimator._estimate_rows(family_povm.effects, counts, cfg)
+        assert [len(column) for column in whole] == [24] * 6
+        assert whole[2].max() == 2 + cfg.starts and whole[5].any()
+        order = np.random.default_rng(61).permutation(24)
+        for got, want in zip(estimator._estimate_rows(family_povm.effects, counts[order], cfg),
+                             whole):
+            assert np.array_equal(got, want[order])
+        parts = [estimator._estimate_rows(family_povm.effects, counts[rows], cfg)
+                 for rows in (slice(0, 5), slice(5, None))]
+        for got, want in zip(zip(*parts), whole):
+            assert np.array_equal(np.concatenate(got), want)
+        for row, c in enumerate(counts):
+            res = estimate_theta(c, family_povm, cfg)
+            assert np.array_equal(res.theta, whole[0][row])
+            assert (res.log_likelihood, res.n_candidates, res.n_tied, res.converged,
+                    res.at_bound) == tuple(column[row].item() for column in whole[1:])
+            assert np.array_equal(res.state.amps, neighborhood_state(res.theta).amps)
+
+    def test_empty_stack_gives_empty_columns(self, family_povm):
+        theta, *rest = estimator._estimate_rows(family_povm.effects, np.empty((0, 7)),
+                                                MleConfig())
+        assert theta.shape == (0, 3) and all(column.shape == (0,) for column in rest)
+
+
 class TestBootstrap:
     def test_spread_contracts_with_ensemble_size(self, family_povm):
         rho = depolarize(equal_deviation_state(0.01), 1.0)
@@ -374,20 +406,22 @@ class TestBootstrap:
     def test_batched_replicas_match_the_per_replica_loop(self, family_povm, monkeypatch, n):
         rho = depolarize(equal_deviation_state(0.2), 0.987)
         counts = np.random.default_rng(31).multinomial(n, born_probabilities(family_povm, rho))
-        batched = []
+        batches = []
         estimate_rows = simulate._estimate_rows
 
         def recording(*args):
-            rows = estimate_rows(*args)
-            batched.extend(rows)
-            return rows
+            columns = estimate_rows(*args)
+            batches.append(columns)
+            return columns
 
         with monkeypatch.context() as patch:
             patch.setattr(simulate, "_estimate_rows", recording)
             res = bootstrap_infidelity(counts, family_povm, rho, 30, np.random.default_rng(32))
-        # the batch starts with the point estimate of the counts themselves
-        point, *batched = batched
-        assert np.array_equal(point.theta, estimate_theta(counts, family_povm).theta)
+        # one batch of columns, one entry per row: the point estimate of the
+        # counts themselves, then the replicas
+        (theta, _, n_candidates, _, converged, at_bound), = batches
+        assert len(theta) == 31
+        assert np.array_equal(theta[0], estimate_theta(counts, family_povm).theta)
         draws = np.random.default_rng(32)
         loop = [estimate_theta(draws.multinomial(n, counts / counts.sum()), family_povm)
                 for _ in range(30)]
@@ -395,10 +429,11 @@ class TestBootstrap:
         def outcomes(estimates):
             return [(e.n_candidates, e.converged, e.at_bound) for e in estimates]
 
-        assert outcomes(batched) == outcomes(loop)
+        assert list(zip(n_candidates[1:].tolist(), converged[1:].tolist(),
+                        at_bound[1:].tolist())) == outcomes(loop)
         values = np.array([1.0 - fidelity(e.state, rho) for e in loop])
-        assert np.allclose([1.0 - fidelity(e.state, rho) for e in batched], values,
-                           rtol=1e-12, atol=0.0)
+        assert np.allclose([1.0 - fidelity(neighborhood_state(t), rho) for t in theta[1:]],
+                           values, rtol=1e-12, atol=0.0)
         expected = (values.min(), *np.quantile(values, [0.25, 0.5, 0.75]), values.max())
         assert np.allclose(res.as_row(), expected, rtol=1e-12, atol=0.0)
         assert res.n_at_bound == sum(e.at_bound for e in loop)

@@ -118,6 +118,18 @@ class TestPerturbEffects:
             assert np.max(np.abs(got - want)) < 1e-12
 
 
+class TestTruthInsideChart:
+    # the estimator's own on-bound test: sqrt(0.36) = 0.6 is on the bound
+    @pytest.mark.parametrize("theta", [0.36, 0.37, 0.5, np.inf, np.nan, -0.1])
+    def test_config_rejects_a_truth_on_or_outside_the_box(self, theta):
+        with pytest.raises(InvalidInput, match="chart bound"):
+            SweepConfig(theta_scalar=theta, n_grid=(100,), repetitions=1)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 0.35])
+    def test_config_accepts_a_truth_inside_the_box(self, theta):
+        assert SweepConfig(theta_scalar=theta, n_grid=(100,), repetitions=1).theta_scalar == theta
+
+
 class TestRunTrial:
     def test_noiseless_fiducial_large_ensemble(self, family_povm):
         rho = depolarize(fiducial_state(4), 1.0)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from pointtomo.errors import InvalidInput
-from pointtomo.states import (DensityMatrix, StateVector, born_probabilities,
-                              depolarize, equal_deviation_state, fiducial_state,
+from pointtomo.states import (DensityMatrix, StateVector, born_probabilities, chart_amplitudes,
+                              depolarize, equal_deviation_state, fiducial_state, fidelities,
                               fidelity, neighborhood_state, pure_probabilities)
 
 
@@ -109,6 +109,59 @@ class TestFidelity:
             lam = rng.uniform()
             assert fidelity(psi, depolarize(psi, lam)) == pytest.approx(
                 lam + (1 - lam) / 4, abs=1e-12)
+
+
+class TestStackedForms:
+    """neighborhood_state and fidelity are the one-row cases of chart_amplitudes
+    and fidelities; a row's bits do not depend on its stack."""
+
+    @staticmethod
+    def chart_stack(rng, d, rows=120):
+        theta = rng.uniform(-0.6, 0.6, (rows, d - 1)) + 1j * rng.uniform(-0.6, 0.6, (rows, d - 1))
+        theta[::5] = 0.0                                            # the fiducial point
+        theta[1::7] = 0.6 * np.sign(theta[1::7].real) - 0.6j        # corners of the chart box
+        theta[2::7, 0] = -0.6                                       # one coordinate on the bound
+        return theta
+
+    @staticmethod
+    def mixed_state(rng, d):
+        return depolarize(neighborhood_state(0.3 * rng.standard_normal(d - 1) + 0.1j), 0.987)
+
+    @pytest.mark.parametrize("d", [2, 4, 7])
+    def test_rows_equal_the_one_row_forms_bit_for_bit(self, d):
+        rng = np.random.default_rng(40 + d)
+        theta, rho = self.chart_stack(rng, d), self.mixed_state(rng, d)
+        amps = chart_amplitudes(theta)
+        values = fidelities(amps, rho)
+        for row, a, f in zip(theta, amps, values):
+            psi = neighborhood_state(row)
+            assert np.array_equal(psi.amps, a)
+            assert fidelity(psi, rho) == f
+            # the per-row forms the stacked ones replace: norm, then vdot of gemv
+            v = np.concatenate(([1.0 + 0.0j], row))
+            assert np.array_equal(a, v / np.linalg.norm(v))
+            assert f == min(max(np.vdot(a, rho.mat @ a).real, 0.0), 1.0)
+
+    def test_permutation_and_split_leave_every_row_unchanged(self):
+        rng = np.random.default_rng(50)
+        theta, rho = self.chart_stack(rng, 4), self.mixed_state(rng, 4)
+        amps = chart_amplitudes(theta)
+        values = fidelities(amps, rho)
+        order = rng.permutation(len(theta))
+        assert np.array_equal(chart_amplitudes(theta[order]), amps[order])
+        assert np.array_equal(fidelities(amps[order], rho), values[order])
+        for part in np.split(np.arange(len(theta)), [1, 17, 90]):
+            assert np.array_equal(chart_amplitudes(theta[part]), amps[part])
+            assert np.array_equal(fidelities(amps[part], rho), values[part])
+
+    def test_empty_stack(self):
+        amps = chart_amplitudes(np.empty((0, 3), dtype=complex))
+        assert amps.shape == (0, 4)
+        assert fidelities(amps, depolarize(fiducial_state(4), 0.5)).shape == (0,)
+
+    def test_fiducial_is_the_chart_origin(self):
+        assert np.array_equal(fiducial_state(4).amps, [1, 0, 0, 0])
+        assert np.array_equal(chart_amplitudes(np.zeros((1, 3)))[0], [1, 0, 0, 0])
 
 
 class TestBornProbabilities:
