@@ -12,9 +12,9 @@ each trial and, with a bootstrap, its replicas (drawn from the trial's second
 stream) are stacked and estimated together, at most ``_REPLICA_BLOCK`` rows
 per batch. The groups run the same way in this process or on a pool of
 workers. A row's estimate does not depend on the stack it runs in, so each
-trial equals :func:`run_trial` on its own, and a trial's bootstrap equals
-:func:`bootstrap_infidelity` on its counts: both are one-trial cases of the
-same path.
+trial's infidelity equals :func:`~pointtomo.estimator.estimate_theta` on its
+counts, and its bootstrap equals :func:`bootstrap_infidelity`, the one-trial
+case of the same path, on those counts.
 """
 
 from __future__ import annotations
@@ -29,19 +29,14 @@ import numpy as np
 from .errors import InvalidInput, SweepError
 from .estimator import MleConfig, _estimate_rows, estimate_state, on_chart_bound
 from .povm import Povm, effects_from_family, gauge_fix_effects, load_device
-from .states import (DensityMatrix, StateVector, born_probabilities, chart_amplitudes,
-                     depolarize, equal_deviation_state, fidelities, fidelity)
+from .states import (DensityMatrix, born_probabilities, chart_amplitudes, depolarize,
+                     equal_deviation_state, fidelities, fidelity)
 from .validation import check_counts, check_in_range, check_probability_vector
 
 # Rows estimated per batch: sets the trials per sweep group and bounds the
 # (rows, K, 2m, 2m) curvature temporaries of a large bootstrap or sweep.
 # Rows are independent, so the block size does not change any estimate.
 _REPLICA_BLOCK = 256
-
-
-def _check_n_boot(n_boot: int) -> None:
-    if n_boot != 0 and n_boot < 10:
-        raise InvalidInput(f"n_boot must be 0 (no bootstrap) or >= 10, got {n_boot}")
 
 
 def check_theta_scalar(theta_scalar: float) -> None:
@@ -89,7 +84,8 @@ class SweepConfig:
         if self.repetitions < 1:
             raise InvalidInput("repetitions must be >= 1")
         check_theta_scalar(self.theta_scalar)
-        _check_n_boot(self.n_boot)
+        if self.n_boot != 0 and self.n_boot < 10:
+            raise InvalidInput(f"n_boot must be 0 (no bootstrap) or >= 10, got {self.n_boot}")
         object.__setattr__(self, "n_grid", grid)
         object.__setattr__(self, "subset", tuple(int(s) for s in self.subset))
         if self.phases is not None:
@@ -99,10 +95,10 @@ class SweepConfig:
 @dataclass(frozen=True)
 class BootstrapResult:
     low: float
-    high: float
     q25: float
     median: float
     q75: float
+    high: float
     n_boot: int
     degenerate: bool = False
     n_at_bound: int = 0               # replica estimates on the chart bound
@@ -110,17 +106,6 @@ class BootstrapResult:
 
     def as_row(self) -> tuple:
         return (self.low, self.q25, self.median, self.q75, self.high)
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    n: int
-    counts: np.ndarray
-    estimate: StateVector
-    infidelity: float
-    at_bound: bool                    # the estimate sits on the chart bound
-    converged: bool                   # the estimator's projected-gradient test passed
-    bootstrap: BootstrapResult | None = None
 
 
 @dataclass(frozen=True)
@@ -206,39 +191,33 @@ def _resample(counts: np.ndarray, n_boot: int, rng) -> np.ndarray:
 
 def _trials(state: DensityMatrix, povm: Povm, draws: list, mle: MleConfig,
             n_boot: int) -> tuple:
-    """Estimate and score every ``(n, counts, boot_rng)`` in ``draws`` in one
+    """Estimate and score every ``(counts, boot_rng)`` in ``draws`` in one
     batch: the counts of every trial, each followed by its ``n_boot``
     replicas (resampled in one draw from its ``boot_rng``), form one stack,
     estimated in one call (in block-sized slices beyond ``_REPLICA_BLOCK``
-    rows) and scored at once. N = 0 trials return the fiducial state;
-    degenerate counts (one observed outcome) are estimated once and not
-    resampled, and the point estimate stands in for their replicas.
+    rows) and scored at once. Degenerate counts (one observed outcome) are
+    estimated once and not resampled, and the point estimate stands in for
+    their replicas.
 
-    Returns per trial: the point estimate's amplitudes (T, d) and infidelity
-    against ``state`` (T,); the replica infidelities' (low, q25, median, q75,
-    high) (T, 5), None without a bootstrap; and (T, 5) counts of the point
-    estimate on the bound and unconverged, of the replicas on the bound and
-    unconverged, and of the replicas.
+    Returns per trial: the point estimate's infidelity against ``state``
+    (T,); the replica infidelities' (low, q25, median, q75, high) (T, 5),
+    None without a bootstrap; and (T, 5) counts of the point estimate on the
+    bound and unconverged, of the replicas on the bound and unconverged, and
+    of the replicas.
     """
-    _check_n_boot(n_boot)
     rows = []
-    for n, counts, boot_rng in draws:
-        own = counts[None, :].astype(float) if n > 0 else np.empty((0, counts.size))
+    for counts, boot_rng in draws:
+        own = counts[None, :].astype(float)
         if n_boot > 0 and np.count_nonzero(counts) > 1:
             own = np.concatenate([own, _resample(own[0], n_boot, boot_rng)])
         rows.append(own)
     stack = np.concatenate(rows)
     blocks = [_estimate_rows(povm.effects, stack[start:start + _REPLICA_BLOCK], mle)
-              for start in range(0, max(len(stack), 1), _REPLICA_BLOCK)]
+              for start in range(0, len(stack), _REPLICA_BLOCK)]
     theta, _, _, _, converged, at_bound = (np.concatenate(a) for a in zip(*blocks))
-    # a last row at theta = 0, converged and off the bound, is the N = 0 trials' estimate
-    amps = chart_amplitudes(np.concatenate([theta, np.zeros((1, povm.dim - 1))]))
-    values = 1.0 - fidelities(amps, state)
-    converged, at_bound = np.append(converged, True), np.append(at_bound, False)
+    values = 1.0 - fidelities(chart_amplitudes(theta), state)
     sizes = np.array([len(own) for own in rows])
-    estimated = np.array([n > 0 for n, _, _ in draws])
-    point = np.where(estimated, np.cumsum(sizes) - sizes, len(stack))
-    replicas = sizes - estimated
+    point, replicas = np.cumsum(sizes) - sizes, sizes - 1
     has = (replicas > 0)[:, None]
     own = np.where(has, point[:, None] + 1 + np.arange(n_boot), point[:, None])
     outcomes = np.column_stack([at_bound[point], ~converged[point], (at_bound[own] & has).sum(1),
@@ -246,52 +225,29 @@ def _trials(state: DensityMatrix, povm: Povm, draws: list, mle: MleConfig,
     boot = values[own]
     spread = np.column_stack([boot.min(axis=1), *np.quantile(boot, [0.25, 0.5, 0.75], axis=1),
                               boot.max(axis=1)]) if n_boot else None
-    return amps[point], values[point], spread, outcomes
-
-
-def _one_trial(state: DensityMatrix, povm: Povm, n, counts: np.ndarray, boot_rng,
-               mle: MleConfig, n_boot: int) -> TrialResult:
-    """:func:`_trials` on one draw, as a :class:`TrialResult`; N = 0 has no bootstrap."""
-    amps, values, spread, outcomes = _trials(state, povm, [(n, counts, boot_rng)], mle, n_boot)
-    at_bound, not_converged, n_at_bound, n_not_converged, replicas = outcomes[0].tolist()
-    boot = None if spread is None or n == 0 else BootstrapResult(
-        *spread[0, [0, 4, 1, 2, 3]].tolist(), n_boot, not replicas, n_at_bound, n_not_converged)
-    return TrialResult(n, counts, StateVector(amps[0]), values[0].item(), bool(at_bound),
-                       not not_converged, boot)
-
-
-def run_trial(state: DensityMatrix, povm: Povm, n: int, rng,
-              mle: MleConfig = MleConfig(), n_boot: int = 0,
-              boot_rng=None) -> TrialResult:
-    """Sample counts from the true state, estimate, and score the infidelity.
-
-    With ``n_boot`` > 0 the infidelity spread is also bootstrapped, drawing
-    the replicas from ``boot_rng``. This is a sweep of one trial: its result
-    equals the sweep's for the same streams.
-    """
-    if n_boot > 0 and boot_rng is None:
-        raise InvalidInput("n_boot > 0 needs a boot_rng to draw the replicas from")
-    counts = sample_counts(born_probabilities(povm, state), n, rng)
-    return _one_trial(state, povm, n, counts, boot_rng, mle, n_boot)
+    return values[point], spread, outcomes
 
 
 def bootstrap_infidelity(counts, povm, reference, n_boot: int, rng,
                          cfg: MleConfig = MleConfig()) -> BootstrapResult:
     """Bootstrap spread of the infidelity versus a fixed reference state.
 
-    The bootstrap of a trial of one (see :func:`run_trial`) on the given
-    counts: they are resampled multinomially from the empirical frequencies,
-    all replicas in one draw from ``rng``, each replica is estimated exactly
-    as :func:`~pointtomo.estimator.estimate_theta` would, and the
-    infidelities of the replica estimates against ``reference`` (a
-    DensityMatrix) are summarized. Degenerate counts (a single observed
-    outcome) are estimated once, not resampled, and report no replica
-    estimates on the bound or unconverged.
+    The bootstrap of a sweep trial of one on the given counts: they are
+    resampled multinomially from the empirical frequencies, all replicas in
+    one draw from ``rng``, each replica is estimated exactly as
+    :func:`~pointtomo.estimator.estimate_theta` would, and the infidelities
+    of the replica estimates against ``reference`` (a DensityMatrix) are
+    summarized. Degenerate counts (a single observed outcome) are estimated
+    once, not resampled, and report no replica estimates on the bound or
+    unconverged.
     """
     if n_boot < 10:
         raise InvalidInput("need n_boot >= 10")
     counts = check_counts(counts, povm.n_outcomes)
-    return _one_trial(reference, povm, counts.sum(), counts, rng, cfg, n_boot).bootstrap
+    _, spread, outcomes = _trials(reference, povm, [(counts, rng)], cfg, n_boot)
+    _, _, n_at_bound, n_not_converged, replicas = outcomes[0].tolist()
+    return BootstrapResult(*spread[0].tolist(), n_boot, not replicas, n_at_bound,
+                           n_not_converged)
 
 
 def sweep_povm(cfg: SweepConfig, povm: Povm | None = None) -> Povm:
@@ -311,19 +267,14 @@ def prepared_state(cfg: SweepConfig, dim: int) -> DensityMatrix:
     return depolarize(equal_deviation_state(cfg.theta_scalar, dim), cfg.noise.lam)
 
 
-def _sweep_rows(povm: Povm, rho: DensityMatrix, cfg: SweepConfig, group) -> list:
-    """The table row of each (grid index, N, trial) in ``group``, with its
-    optimizer outcome counts: (point estimate on the bound, point estimate
-    unconverged, replicas on the bound, replicas unconverged). The group is
-    estimated and scored as one batch."""
+def _sweep_rows(povm: Povm, rho: DensityMatrix, cfg: SweepConfig, group) -> tuple:
+    """:func:`_trials` on the draws of each (grid index, N, trial) in
+    ``group``, estimated and scored as one batch."""
     probs = born_probabilities(povm, rho)
-    draws = [(n, sample_counts(probs, n, trial_rng(cfg.seed, i, t)),
+    draws = [(sample_counts(probs, n, trial_rng(cfg.seed, i, t)),
               trial_rng(cfg.seed, i, t, stream=1) if cfg.n_boot else None)
              for i, n, t in group]
-    _, values, spread, outcomes = _trials(rho, povm, draws, cfg.mle, cfg.n_boot)
-    spread = [(np.nan,) * 5] * len(group) if spread is None else map(tuple, spread.tolist())
-    return [((float(n), float(t), value) + boot, tuple(counts)) for (_, n, t), value, boot, counts
-            in zip(group, values.tolist(), spread, outcomes[:, :4].tolist())]
+    return _trials(rho, povm, draws, cfg.mle, cfg.n_boot)
 
 
 def run_sweep(cfg: SweepConfig, povm: Povm | None = None, workers: int = 1) -> SweepResult:
@@ -331,14 +282,14 @@ def run_sweep(cfg: SweepConfig, povm: Povm | None = None, workers: int = 1) -> S
 
     The items are split into contiguous groups of whole trials, at most
     ``_REPLICA_BLOCK // (1 + n_boot)`` trials and at least ``workers``
-    groups, and each group is estimated as one batch (see
-    :func:`run_trial`). The same function maps over the groups in this
-    process or, with more than one worker, on a process pool; ``workers``
-    is capped at the number of work items. The result is deterministic given
-    (config, seed) and independent of ``workers``. Any trial error aborts
-    with a :class:`SweepError` naming the failing group's N values and
-    carrying the partial result, flagged as such: the rows of the groups
-    finished before the failing one.
+    groups, and each group is estimated as one batch. The same function maps
+    over the groups in this process or, with more than one worker, on a
+    process pool; ``workers`` is capped at the number of work items. The
+    table rows and the outcome counts are built here from each group's
+    arrays. The result is deterministic given (config, seed) and independent
+    of ``workers``. Any trial error aborts with a :class:`SweepError` naming
+    the failing group's N values and carrying the partial result, flagged as
+    such: the rows of the groups finished before the failing one.
     """
     if workers < 1:
         raise InvalidInput(f"workers must be >= 1, got {workers}")
@@ -350,21 +301,23 @@ def run_sweep(cfg: SweepConfig, povm: Povm | None = None, workers: int = 1) -> S
     per_group = max(1, _REPLICA_BLOCK // (1 + cfg.n_boot))
     k = max(workers, -(-len(items) // per_group))   # number of groups
     groups = [items[g * len(items) // k:(g + 1) * len(items) // k] for g in range(k)]
-    rows, outcomes, done = [], (0, 0, 0, 0), 0   # outcomes in SweepResult's field order
+    rows, outcomes, done = [], np.zeros(4, dtype=int), 0   # outcomes in SweepResult's order
     try:
         with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
             # the built POVM and state travel to the workers with each group, unvalidated
-            for group in (pool.map if pool else map)(partial(_sweep_rows, povm, rho, cfg),
-                                                     groups):
-                for row, counts in group:
-                    rows.append(row)
-                    outcomes = tuple(a + b for a, b in zip(outcomes, counts))
+            for values, spread, counts in (pool.map if pool else map)(
+                    partial(_sweep_rows, povm, rho, cfg), groups):
+                boots = spread.tolist() if cfg.n_boot else [[np.nan] * 5] * len(values)
+                rows += [(float(n), float(t), value, *boot) for (_, n, t), value, boot
+                         in zip(groups[done], values.tolist(), boots)]
+                outcomes += counts[:, :4].sum(axis=0)
                 done += 1
     except Exception as exc:
         failed = ", ".join(map(str, sorted({n for _, n, _ in groups[done]})))
         raise SweepError(f"sweep aborted: trials with N={failed} failed: {exc}",
-                         partial=SweepResult(tuple(rows), True, *outcomes, workers)) from exc
-    return SweepResult(tuple(rows), False, *outcomes, workers)
+                         partial=SweepResult(tuple(rows), True, *outcomes.tolist(),
+                                             workers)) from exc
+    return SweepResult(tuple(rows), False, *outcomes.tolist(), workers)
 
 
 def expected_infidelity_floor(rho: DensityMatrix, povm: Povm,

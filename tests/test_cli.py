@@ -11,10 +11,10 @@ from pointtomo.fisher import asymptotic_infidelity_coefficient
 from pointtomo.io import (atomic_write_text, metadata_record, read_sweep_table,
                           sweep_table_text)
 from pointtomo.estimator import MleConfig
-from pointtomo.simulate import (NoiseConfig, SweepConfig, SweepResult,
-                                expected_infidelity_floor, perturb_effects, run_sweep, run_trial,
-                                trial_rng)
-from pointtomo.states import depolarize, equal_deviation_state
+from pointtomo.simulate import (NoiseConfig, SweepConfig, SweepResult, bootstrap_infidelity,
+                                expected_infidelity_floor, perturb_effects, run_sweep,
+                                sample_counts, trial_rng)
+from pointtomo.states import born_probabilities, depolarize, equal_deviation_state
 
 
 def run_cli(*argv):
@@ -94,8 +94,9 @@ class TestSimulateCommand:
                        "--out", str(out)) == 0
         meta = json.loads((tmp_path / "boot.meta.json").read_text())
         rho = depolarize(equal_deviation_state(0.2), 0.987)
-        boots = [run_trial(rho, family_povm, 100, trial_rng(13, 0, t), MleConfig(), 10,
-                           trial_rng(13, 0, t, stream=1)).bootstrap for t in range(3)]
+        probs = born_probabilities(family_povm, rho)
+        boots = [bootstrap_infidelity(sample_counts(probs, 100, trial_rng(13, 0, t)), family_povm,
+                                      rho, 10, trial_rng(13, 0, t, stream=1)) for t in range(3)]
         assert meta["replicas_at_bound"] == sum(b.n_at_bound for b in boots) > 0
         assert meta["replicas_not_converged"] == sum(b.n_not_converged for b in boots)
         assert run_cli("bootstrap", "--theta", "0.2", "--lambda", "0.987", "--n", "100",

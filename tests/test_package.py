@@ -6,8 +6,10 @@ zero a per-layer count, so each seam is checked here.
 """
 
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 from types import ModuleType
 
 import numpy as np
@@ -24,6 +26,15 @@ def test_all_lists_no_modules_and_resolves():
     for name in ("errors", "estimator", "fisher", "povm", "simulate", "states",
                  "validation"):
         assert isinstance(getattr(pointtomo, name), ModuleType)
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's Python example runs as written against the current package
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    [example] = re.findall(r"```python\n(.*?)```", readme.read_text(), flags=re.S)
+    exec(compile(example, str(readme), "exec"), {})
+    c_norm, *_ = capsys.readouterr().out.splitlines()
+    assert round(float(c_norm), 4) == 0.6276
 
 
 def test_runs_load_no_scipy(tmp_path):

@@ -10,9 +10,25 @@ from pointtomo.povm import Povm, effects_from_family, gauge_fix_effects
 from pointtomo.io import sweep_table_text
 from pointtomo.simulate import (NoiseConfig, SweepConfig, bootstrap_infidelity,
                                 expected_infidelity_floor, perturb_effects, prepared_state,
-                                run_sweep, run_trial, sample_counts, trial_rng)
+                                run_sweep, sample_counts, trial_rng)
 from pointtomo.states import (DensityMatrix, born_probabilities, depolarize,
                               equal_deviation_state, fidelity, fiducial_state)
+
+
+def run_trial(rho, povm, cfg, i, t):
+    """Trial ``t`` at grid index ``i`` of the sweep ``cfg`` run on its own by
+    the one-call public functions, the reference for the sweep's batch:
+    estimate_theta on the trial's regenerated counts and, with a bootstrap,
+    bootstrap_infidelity on them and the trial's replica stream. Returns the
+    counts, the estimate, its infidelity and the BootstrapResult (None
+    without a bootstrap)."""
+    counts = sample_counts(born_probabilities(povm, rho), cfg.n_grid[i],
+                           trial_rng(cfg.seed, i, t))
+    fit = estimate_theta(counts, povm, cfg.mle)
+    boot = bootstrap_infidelity(counts, povm, rho, cfg.n_boot,
+                                trial_rng(cfg.seed, i, t, stream=1),
+                                cfg.mle) if cfg.n_boot else None
+    return counts, fit, 1.0 - fidelity(fit.state, rho), boot
 
 
 @pytest.fixture
@@ -132,47 +148,30 @@ class TestTruthInsideChart:
 
 class TestRunTrial:
     def test_noiseless_fiducial_large_ensemble(self, family_povm):
+        cfg = SweepConfig(theta_scalar=0.0, n_grid=(100_000,), repetitions=1, seed=5)
         rho = depolarize(fiducial_state(4), 1.0)
-        trial = run_trial(rho, family_povm, 100_000, trial_rng(5, 0, 0))
-        assert trial.counts.sum() == 100_000
-        assert trial.infidelity < 1e-3
+        counts, _, infidelity, _ = run_trial(rho, family_povm, cfg, 0, 0)
+        assert counts.sum() == 100_000
+        assert infidelity < 1e-3
 
-    def test_zero_copies_returns_fiducial(self, family_povm):
-        # nothing is estimated or resampled, also when the trial bootstraps
-        rho = depolarize(equal_deviation_state(0.1), 1.0)
-        for n_boot in (0, 10):
-            trial = run_trial(rho, family_povm, 0, trial_rng(5, 0, 0), n_boot=n_boot,
-                              boot_rng=trial_rng(5, 0, 0, stream=1))
-            assert np.allclose(trial.estimate.amps, [1, 0, 0, 0])
-            assert trial.infidelity == pytest.approx(1.0 - fidelity(fiducial_state(4), rho),
-                                                     abs=1e-12)
-            assert trial.bootstrap is None
-
-    def test_short_bootstrap_rejected(self, family_povm):
-        # the SweepConfig rule: 0 (no bootstrap) or at least 10 replicas
-        rho = depolarize(equal_deviation_state(0.1), 1.0)
+    def test_short_bootstrap_rejected(self):
+        # 0 (no bootstrap) or at least 10 replicas
         for n_boot in (-3, 5):
             with pytest.raises(InvalidInput, match="n_boot must be 0"):
-                run_trial(rho, family_povm, 1000, trial_rng(5, 0, 0), n_boot=n_boot,
-                          boot_rng=trial_rng(5, 0, 0, stream=1))
-
-    def test_bootstrap_needs_a_replica_stream(self, family_povm):
-        rho = depolarize(equal_deviation_state(0.1), 1.0)
-        with pytest.raises(InvalidInput, match="boot_rng"):
-            run_trial(rho, family_povm, 1000, trial_rng(5, 0, 0), n_boot=10)
+                SweepConfig(theta_scalar=0.1, n_grid=(1000,), repetitions=1, seed=5,
+                            n_boot=n_boot)
 
     @pytest.mark.parametrize("n", [1, 100, 10_000])
     def test_bootstrap_infidelity_is_the_trial_bootstrap(self, family_povm, n):
-        # N=1 is degenerate, N=100 has replicas on the chart bound: both entry
-        # points take the same path, so their results are equal as a whole
-        seed, i, t = 5, 0, 2
-        rho = depolarize(equal_deviation_state(0.2), 0.987)
-        trial = run_trial(rho, family_povm, n, trial_rng(seed, i, t), n_boot=10,
-                          boot_rng=trial_rng(seed, i, t, stream=1))
-        counts = sample_counts(born_probabilities(family_povm, rho), n, trial_rng(seed, i, t))
-        boot = bootstrap_infidelity(counts, family_povm, rho, 10,
-                                    trial_rng(seed, i, t, stream=1))
-        assert boot == trial.bootstrap
+        # N=1 is degenerate, N=100 has replicas on the chart bound: the sweep
+        # row's bootstrap columns are bootstrap_infidelity on the trial's
+        # counts and replica stream
+        cfg = SweepConfig(theta_scalar=0.2, n_grid=(n,), repetitions=3,
+                          noise=NoiseConfig(lam=0.987), seed=5, n_boot=10)
+        rho = prepared_state(cfg, family_povm.dim)
+        _, _, infidelity, boot = run_trial(rho, family_povm, cfg, 0, 2)
+        assert run_sweep(cfg, povm=family_povm).rows[2] == (float(n), 2.0, infidelity,
+                                                             *boot.as_row())
         assert boot.degenerate == (n == 1)
         if n == 100:
             assert boot.n_at_bound > 0
@@ -378,7 +377,7 @@ class TestRunSweep:
     def test_batched_sweep_matches_run_trial(self, family_povm, monkeypatch, workers, block):
         # N=1 trials are degenerate, N=100 replicas reach the chart bound; the
         # rows and outcome counts of one batch (or of 7-row blocks, or of one
-        # batch per worker) equal run_trial on each item, bit for bit
+        # batch per worker) equal each trial run on its own, bit for bit
         if block is not None:
             monkeypatch.setattr(sim, "_REPLICA_BLOCK", block)
         cfg = SweepConfig(theta_scalar=0.2, n_grid=(1, 100, 10_000), repetitions=3,
@@ -387,20 +386,19 @@ class TestRunSweep:
         rows, outcomes = [], []
         for i, n in enumerate(cfg.n_grid):
             for t in range(cfg.repetitions):
-                trial = run_trial(rho, family_povm, n, trial_rng(cfg.seed, i, t), cfg.mle,
-                                  cfg.n_boot, trial_rng(cfg.seed, i, t, stream=1))
-                boot = trial.bootstrap
+                _, fit, infidelity, boot = run_trial(rho, family_povm, cfg, i, t)
                 assert boot.degenerate == (n == 1)
-                rows.append((float(n), float(t), trial.infidelity) + boot.as_row())
-                outcomes.append((int(trial.at_bound), int(not trial.converged),
-                                 boot.n_at_bound, boot.n_not_converged))
+                rows.append((float(n), float(t), infidelity) + boot.as_row())
+                outcomes.append([int(fit.at_bound), int(not fit.converged),
+                                 boot.n_at_bound, boot.n_not_converged])
         res = run_sweep(cfg, povm=family_povm, workers=workers)
         assert res.rows == tuple(rows)
         assert (res.n_at_bound, res.n_not_converged, res.n_replicas_at_bound,
                 res.n_replicas_not_converged) == tuple(map(sum, zip(*outcomes)))
         assert res.n_replicas_at_bound > 0 and res.workers == workers
         items = [(i, n, t) for i, n in enumerate(cfg.n_grid) for t in range(cfg.repetitions)]
-        assert [counts for _, counts in sim._sweep_rows(family_povm, rho, cfg, items)] == outcomes
+        _, _, counts = sim._sweep_rows(family_povm, rho, cfg, items)
+        assert counts[:, :4].tolist() == outcomes
 
     def test_rows_are_run_trial_results(self, family_povm):
         cfg = SweepConfig(theta_scalar=0.2, n_grid=(300, 3000), repetitions=2,
@@ -410,11 +408,15 @@ class TestRunSweep:
         expected = []
         for i, n in enumerate(cfg.n_grid):
             for t in range(cfg.repetitions):
-                trial = run_trial(rho, family_povm, n, trial_rng(cfg.seed, i, t), cfg.mle,
-                                  cfg.n_boot, trial_rng(cfg.seed, i, t, stream=1))
-                expected.append((float(n), float(t), trial.infidelity)
-                                + trial.bootstrap.as_row())
+                _, _, infidelity, boot = run_trial(rho, family_povm, cfg, i, t)
+                expected.append((float(n), float(t), infidelity) + boot.as_row())
         assert run_sweep(cfg, povm=family_povm).rows == tuple(expected)
+
+    def test_rows_compare_equal_across_a_process_pool(self):
+        # without a bootstrap every row holds NaN placeholders; the rows are
+        # built in this process, so a real 2-worker pool gives equal rows
+        cfg = SweepConfig(theta_scalar=0.01, n_grid=(50, 100), repetitions=2, seed=1)
+        assert run_sweep(cfg, workers=2).rows == run_sweep(cfg, workers=1).rows
 
     def test_rows_reproduce_standalone_point_estimates(self, family_povm):
         # each row's infidelity is a standalone estimate_theta on the trial's
