@@ -48,11 +48,19 @@ def _family_povm(args):
 
 def _write_run(args, text: str, extra: dict | None = None, unhashed: tuple = (),
                stage_s: dict | None = None) -> None:
-    """Write ``--out`` and its sidecar, hashing every argument except the output
-    paths, the worker count and ``unhashed``, which leave ``text`` unchanged."""
+    """Write ``text`` to ``--out``, when given, and its sidecar, hashing every
+    argument except the output paths, the worker count and ``unhashed``, which
+    leave ``text`` unchanged; refuse to overwrite the input table or its sidecar."""
+    if not args.out:
+        return
+    if "infile" in args:
+        written, read = ({p, os.path.splitext(p)[0] + ".meta.json"}
+                         for p in map(os.path.realpath, (args.out, args.infile)))
+        if written & read:
+            raise InvalidInput(f"--out {args.out} would overwrite {args.infile} or its sidecar")
     skip = ("func", "out", "plot", "workers") + unhashed
     run = {k: v for k, v in vars(args).items() if k not in skip}
-    write_output(args.out, text, config_hash(run), args.seed, extra, stage_s)
+    write_output(args.out, text, config_hash(run), vars(args).get("seed"), extra, stage_s)
 
 
 def _note_outcomes(outcomes: dict) -> None:
@@ -91,8 +99,7 @@ def cmd_design(args) -> int:
     sys.stdout.write(table)
     winner = rows[0]
     sys.stdout.write(f"# winner: subset {winner[0]} with {args.norm} norm {winner[1]:.4f}\n")
-    if args.out:
-        _write_run(args, table, unhashed=("starts", "seed"))
+    _write_run(args, table, unhashed=("starts", "seed"))
     return 0
 
 
@@ -118,8 +125,7 @@ def cmd_fisher(args) -> int:
                    f"{mean:.4f} +/- {err:.4f}")
     text = "\n".join(out) + "\n"
     sys.stdout.write(text)
-    if args.out:
-        _write_run(args, text)
+    _write_run(args, text)
     return 0
 
 
@@ -144,16 +150,11 @@ def cmd_simulate(args) -> int:
     result = run_sweep(cfg, workers=args.workers)
     sweep_s = time.perf_counter() - start
     table = sweep_table_text(result)
-    outcomes = {"estimates_at_bound": result.n_at_bound,
-                "estimates_not_converged": result.n_not_converged,
-                "replicas_at_bound": result.n_replicas_at_bound,
-                "replicas_not_converged": result.n_replicas_not_converged}
-    _note_outcomes(outcomes)
-    if args.out:
-        _write_run(args, table, extra={"rows": len(result.rows), "workers": result.workers,
-                                       **outcomes},
-                   stage_s={"sweep": sweep_s})
-    else:
+    _note_outcomes(result.outcomes)
+    _write_run(args, table, extra={"rows": len(result.rows), "workers": result.workers,
+                                   **result.outcomes},
+               stage_s={"sweep": sweep_s})
+    if not args.out:
         sys.stdout.write(table)
     if args.plot:
         povm = sweep_povm(cfg)
@@ -182,13 +183,10 @@ def cmd_bootstrap(args) -> int:
              ",".join(repr(v) for v in res.as_row()) + f",{int(res.degenerate)}"]
     table = "\n".join(lines) + "\n"
     sys.stdout.write(table)
-    outcomes = {"replicas_at_bound": res.n_at_bound,
-                "replicas_not_converged": res.n_not_converged}
-    _note_outcomes(outcomes)
-    if args.out:
-        _write_run(args, table, extra={"resampling": "empirical-frequencies", "workers": 1,
-                                       **outcomes},
-                   stage_s={"estimate": estimate_s})
+    _note_outcomes(res.outcomes)
+    _write_run(args, table, extra={"resampling": "empirical-frequencies", "workers": 1,
+                                   **res.outcomes},
+               stage_s={"estimate": estimate_s})
     return 0
 
 
@@ -198,9 +196,9 @@ def cmd_fit(args) -> int:
     record = {"coefficient": fit.coefficient, "exponent": fit.exponent,
               "residual": fit.residual, "source": os.path.basename(args.infile),
               "source_hash": config_hash(table.tolist())}
-    sys.stdout.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    if args.out:
-        atomic_write_text(args.out, json.dumps(record, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    _write_run(args, text)
+    sys.stdout.write(text)
     return 0
 
 
@@ -220,9 +218,8 @@ def cmd_report(args) -> int:
     lines.append(f"power-law fit: infidelity ~ {fit.coefficient:.3f} * N^{fit.exponent:.3f} "
                  f"(log-residual RMS {fit.residual:.3f})")
     text = "\n".join(lines) + "\n"
+    _write_run(args, text)
     sys.stdout.write(text)
-    if args.out:
-        atomic_write_text(args.out, text)
     if args.plot:
         svg = sweep_plot_svg(table, gm_coefficient=dim - 1)
         atomic_write_text(args.plot, svg)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DegenerateInput, InvalidInput, NumericalError
-from .states import neighborhood_state, pure_probabilities
+from .states import chart_amplitudes, pure_probabilities
 from .validation import check_local_parameters
 
 BLOCK_TOL = 1e-10
@@ -142,23 +142,18 @@ def cfim_numeric(povm, theta, step: float = 1e-5) -> FisherBlocks:
     if not 0.0 < step <= 1e-3:
         raise InvalidInput(f"step must lie in (0, 1e-3], got {step}")
     theta = check_local_parameters(theta, povm.dim)
-    effects = povm.effects
-
-    def log_probs(th):
-        p = pure_probabilities(effects, neighborhood_state(th).amps)
-        return np.log(np.maximum(p, PROBABILITY_FLOOR))
-
-    f = pure_probabilities(effects, neighborhood_state(theta).amps)
+    # theta, then theta + step e_j, - step e_j, + i step e_j and - i step e_j for every j
+    e = step * np.eye(theta.size, dtype=complex)
+    points = np.concatenate([theta[None], theta + e, theta - e, theta + 1j * e, theta - 1j * e])
+    probs = pure_probabilities(povm.effects, chart_amplitudes(points))
+    f = probs[0]
     keep = f >= PROBABILITY_FLOOR
     if not np.any(keep):
         raise DegenerateInput("all outcome probabilities are below the floor")
 
-    m = theta.size
-    deriv = np.empty((m, f.size), dtype=complex)
-    for j, e in enumerate(np.eye(m, dtype=complex)):
-        d_re = (log_probs(theta + step * e) - log_probs(theta - step * e)) / (2.0 * step)
-        d_im = (log_probs(theta + 1j * step * e) - log_probs(theta - 1j * step * e)) / (2.0 * step)
-        deriv[j] = 0.5 * (d_re - 1j * d_im)
+    logs = np.log(np.maximum(probs[1:], PROBABILITY_FLOOR)).reshape(4, theta.size, -1)
+    d_re, d_im = (logs[[0, 2]] - logs[[1, 3]]) / (2.0 * step)
+    deriv = 0.5 * (d_re - 1j * d_im)
 
     w = f[keep]
     dk = deriv[:, keep]

@@ -72,7 +72,7 @@ def read_sweep_table(path: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def metadata_record(config_digest: str, seed: int, extra: dict | None = None) -> dict:
+def metadata_record(config_digest: str, seed: int | None, extra: dict | None = None) -> dict:
     from . import __version__
 
     return {
@@ -91,7 +91,7 @@ def config_hash(obj) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def write_output(path: str, text: str, config_digest: str, seed: int,
+def write_output(path: str, text: str, config_digest: str, seed: int | None,
                  extra: dict | None = None, stage_s: dict | None = None) -> None:
     """Write ``text`` to ``path`` and its ``.meta.json`` sidecar, each atomically.
 

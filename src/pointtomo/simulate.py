@@ -38,6 +38,11 @@ from .validation import check_counts, check_in_range, check_probability_vector
 # Rows are independent, so the block size does not change any estimate.
 _REPLICA_BLOCK = 256
 
+# The outcome counts of a run's estimates, in the column order of _trials' counts:
+# point estimates, then bootstrap replicas, on the chart bound and unconverged.
+OUTCOMES = ("estimates_at_bound", "estimates_not_converged", "replicas_at_bound",
+            "replicas_not_converged")
+
 
 def check_theta_scalar(theta_scalar: float) -> None:
     """Reject a prepared state outside the box the estimator searches: its chart
@@ -100,9 +105,8 @@ class BootstrapResult:
     q75: float
     high: float
     n_boot: int
-    degenerate: bool = False
-    n_at_bound: int = 0               # replica estimates on the chart bound
-    n_not_converged: int = 0          # replica estimates that failed the convergence test
+    degenerate: bool
+    outcomes: dict                    # OUTCOMES -> count, of the point estimate and replicas
 
     def as_row(self) -> tuple:
         return (self.low, self.q25, self.median, self.q75, self.high)
@@ -112,19 +116,14 @@ class BootstrapResult:
 class SweepResult:
     """All trial rows of a sweep; ``partial`` marks an aborted sweep.
 
-    ``n_at_bound`` and ``n_not_converged`` count the trials whose point
-    estimate sits on the chart bound or failed the convergence test, and
-    ``n_replicas_at_bound`` and ``n_replicas_not_converged`` the same over
-    every trial's bootstrap replicas; they are not part of the table.
+    ``outcomes`` sums the :data:`OUTCOMES` of every trial's point estimate
+    and bootstrap replicas; it is not part of the table.
     """
 
     rows: tuple                       # (n, trial, infidelity, boot_low, q25, median, q75, boot_high)
-    partial: bool = False
-    n_at_bound: int = 0
-    n_not_converged: int = 0
-    n_replicas_at_bound: int = 0
-    n_replicas_not_converged: int = 0
-    workers: int = 1                  # processes the sweep ran on
+    partial: bool
+    outcomes: dict
+    workers: int                      # processes the sweep ran on
 
     COLUMNS = ("N", "trial", "infidelity", "boot_low", "boot_q25",
                "boot_median", "boot_q75", "boot_high")
@@ -201,9 +200,8 @@ def _trials(state: DensityMatrix, povm: Povm, draws: list, mle: MleConfig,
 
     Returns per trial: the point estimate's infidelity against ``state``
     (T,); the replica infidelities' (low, q25, median, q75, high) (T, 5),
-    None without a bootstrap; and (T, 5) counts of the point estimate on the
-    bound and unconverged, of the replicas on the bound and unconverged, and
-    of the replicas.
+    None without a bootstrap; and (T, 5) counts: the four :data:`OUTCOMES`,
+    then the number of replicas.
     """
     rows = []
     for counts, boot_rng in draws:
@@ -237,17 +235,17 @@ def bootstrap_infidelity(counts, povm, reference, n_boot: int, rng,
     one draw from ``rng``, each replica is estimated exactly as
     :func:`~pointtomo.estimator.estimate_theta` would, and the infidelities
     of the replica estimates against ``reference`` (a DensityMatrix) are
-    summarized. Degenerate counts (a single observed outcome) are estimated
-    once, not resampled, and report no replica estimates on the bound or
-    unconverged.
+    summarized. ``outcomes`` counts the point estimate of the counts and the
+    replica estimates on the bound or unconverged. Degenerate counts (a
+    single observed outcome) are estimated once, not resampled, and report
+    no replica estimates on the bound or unconverged.
     """
     if n_boot < 10:
         raise InvalidInput("need n_boot >= 10")
     counts = check_counts(counts, povm.n_outcomes)
     _, spread, outcomes = _trials(reference, povm, [(counts, rng)], cfg, n_boot)
-    _, _, n_at_bound, n_not_converged, replicas = outcomes[0].tolist()
-    return BootstrapResult(*spread[0].tolist(), n_boot, not replicas, n_at_bound,
-                           n_not_converged)
+    *tally, replicas = outcomes[0].tolist()
+    return BootstrapResult(*spread[0].tolist(), n_boot, not replicas, dict(zip(OUTCOMES, tally)))
 
 
 def sweep_povm(cfg: SweepConfig, povm: Povm | None = None) -> Povm:
@@ -301,7 +299,7 @@ def run_sweep(cfg: SweepConfig, povm: Povm | None = None, workers: int = 1) -> S
     per_group = max(1, _REPLICA_BLOCK // (1 + cfg.n_boot))
     k = max(workers, -(-len(items) // per_group))   # number of groups
     groups = [items[g * len(items) // k:(g + 1) * len(items) // k] for g in range(k)]
-    rows, outcomes, done = [], np.zeros(4, dtype=int), 0   # outcomes in SweepResult's order
+    rows, outcomes, done = [], dict.fromkeys(OUTCOMES, 0), 0
     try:
         with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
             # the built POVM and state travel to the workers with each group, unvalidated
@@ -310,14 +308,14 @@ def run_sweep(cfg: SweepConfig, povm: Povm | None = None, workers: int = 1) -> S
                 boots = spread.tolist() if cfg.n_boot else [[np.nan] * 5] * len(values)
                 rows += [(float(n), float(t), value, *boot) for (_, n, t), value, boot
                          in zip(groups[done], values.tolist(), boots)]
-                outcomes += counts[:, :4].sum(axis=0)
+                for name, total in zip(OUTCOMES, counts[:, :4].sum(axis=0).tolist()):
+                    outcomes[name] += total
                 done += 1
     except Exception as exc:
         failed = ", ".join(map(str, sorted({n for _, n, _ in groups[done]})))
         raise SweepError(f"sweep aborted: trials with N={failed} failed: {exc}",
-                         partial=SweepResult(tuple(rows), True, *outcomes.tolist(),
-                                             workers)) from exc
-    return SweepResult(tuple(rows), False, *outcomes.tolist(), workers)
+                         partial=SweepResult(tuple(rows), True, outcomes, workers)) from exc
+    return SweepResult(tuple(rows), False, outcomes, workers)
 
 
 def expected_infidelity_floor(rho: DensityMatrix, povm: Povm,

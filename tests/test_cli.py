@@ -11,9 +11,9 @@ from pointtomo.fisher import asymptotic_infidelity_coefficient
 from pointtomo.io import (atomic_write_text, metadata_record, read_sweep_table,
                           sweep_table_text)
 from pointtomo.estimator import MleConfig
-from pointtomo.simulate import (NoiseConfig, SweepConfig, SweepResult, bootstrap_infidelity,
-                                expected_infidelity_floor, perturb_effects, run_sweep,
-                                sample_counts, trial_rng)
+from pointtomo.simulate import (OUTCOMES, NoiseConfig, SweepConfig, SweepResult,
+                                bootstrap_infidelity, expected_infidelity_floor, perturb_effects,
+                                run_sweep, sample_counts, trial_rng)
 from pointtomo.states import born_probabilities, depolarize, equal_deviation_state
 
 
@@ -63,8 +63,9 @@ class TestSimulateCommand:
                                              for j in range(4)) for i in range(4)) + "\n")
         design = ("design", "--device", str(device))
         assert digest(*design) != digest(*design, "--norm", "frobenius")
-        # --seed and --starts do not change the design table
-        assert digest(*design, "--seed", "0") == digest(*design, "--seed", "1")
+        # --seed and --starts do not change the design table; the seed is still recorded
+        assert digest(*design, "--seed", "0") == digest(*design, "--seed", "5")
+        assert json.loads((tmp_path / "t.meta.json").read_text())["seed"] == 5
         assert digest(*design, "--starts", "0") == digest(*design, "--starts", "32")
         boot = ("bootstrap", "--counts", "40,30,20,5,3,1,1", "--seed", "4", "--boot", "10",
                 "--mle-starts", "1")
@@ -97,13 +98,38 @@ class TestSimulateCommand:
         probs = born_probabilities(family_povm, rho)
         boots = [bootstrap_infidelity(sample_counts(probs, 100, trial_rng(13, 0, t)), family_povm,
                                       rho, 10, trial_rng(13, 0, t, stream=1)) for t in range(3)]
-        assert meta["replicas_at_bound"] == sum(b.n_at_bound for b in boots) > 0
-        assert meta["replicas_not_converged"] == sum(b.n_not_converged for b in boots)
+        assert meta["replicas_at_bound"] == sum(b.outcomes["replicas_at_bound"]
+                                                for b in boots) > 0
+        assert meta["replicas_not_converged"] == sum(b.outcomes["replicas_not_converged"]
+                                                     for b in boots)
         assert run_cli("bootstrap", "--theta", "0.2", "--lambda", "0.987", "--n", "100",
                        "--boot", "10", "--seed", "13", "--out", str(out)) == 0
         meta = json.loads((tmp_path / "boot.meta.json").read_text())
         assert (meta["replicas_at_bound"], meta["replicas_not_converged"]) == \
-            (boots[0].n_at_bound, boots[0].n_not_converged)
+            (boots[0].outcomes["replicas_at_bound"], boots[0].outcomes["replicas_not_converged"])
+
+    def test_sidecars_record_the_result_outcomes(self, tmp_path, family_povm):
+        # both sidecars hold the result's OUTCOMES, under those names; a bootstrap
+        # also counts its point estimate, which both count sets pin to the bound
+        # (the degenerate one has no replicas)
+        sim = SweepConfig(theta_scalar=0.2, n_grid=(100,), repetitions=3,
+                          noise=NoiseConfig(lam=0.987), seed=13, n_boot=10)
+        runs = [(("simulate", "--theta", "0.2", "--lambda", "0.987", "--n-grid", "100",
+                  "--reps", "3", "--boot", "10", "--seed", "13", "--workers", "1"),
+                 run_sweep(sim, povm=family_povm).outcomes)]
+        rho = depolarize(equal_deviation_state(0.01), 1.0)
+        for counts, replicas_at_bound in (("0,0,5,0,0,0,0", 0), ("40,30,20,5,3,1,1", 6)):
+            boot = bootstrap_infidelity(np.array(counts.split(","), dtype=float), family_povm,
+                                        rho, 10, trial_rng(2, 0, 0, stream=1))
+            assert boot.outcomes == dict(zip(OUTCOMES, (1, 0, replicas_at_bound, 0)))
+            runs.append((("bootstrap", "--theta", "0.01", "--counts", counts, "--boot", "10",
+                          "--seed", "2"), boot.outcomes))
+        for argv, outcomes in runs:
+            assert tuple(outcomes) == OUTCOMES
+            out = tmp_path / "run.csv"
+            assert run_cli(*argv, "--out", str(out)) == 0
+            meta = json.loads(out.with_suffix(".meta.json").read_text())
+            assert {name: meta[name] for name in OUTCOMES} == outcomes
 
     def test_pinned_estimates_print_one_stderr_line(self, tmp_path, capsys):
         # N=100 and 1000 at theta=0.2, lambda=0.987: replicas end on the bound;
@@ -308,6 +334,44 @@ class TestOtherCommands:
             se = n * sel.std(ddof=1) / np.sqrt(sel.size)
             assert float(fields[-1]) == pytest.approx(se, abs=5e-5)
         assert (tmp_path / "r.svg").exists()
+
+    def test_fit_and_report_sidecars_hash_the_input(self, tmp_path, capsys):
+        # the sidecar hash covers the input path and every other argument
+        tables = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for table in tables:
+            assert run_cli("simulate", "--theta", "0.01", "--n-grid", "100,1000", "--reps", "2",
+                           "--seed", "8", "--mle-starts", "2", "--out", str(table)) == 0
+
+        def record(*argv):
+            out = tmp_path / "out.txt"
+            assert run_cli(*argv, "--out", str(out)) == 0
+            assert out.read_text() == capsys.readouterr().out
+            return json.loads(out.with_suffix(".meta.json").read_text())
+
+        for command in ("fit", "report"):
+            first, second = (record(command, str(table)) for table in tables)
+            assert first["seed"] is None and len(first["config_hash"]) == 64
+            assert first["config_hash"] != second["config_hash"]
+        assert (record("report", str(tables[0]))["config_hash"]
+                != record("report", str(tables[0]), "--dim", "3")["config_hash"])
+
+    @pytest.mark.parametrize("command", ["fit", "report"])
+    def test_out_over_the_input_sidecar_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                                          command):
+        # s.json would write s.meta.json, the sidecar of s.csv; s.csv would overwrite
+        # the table and s.meta.json its sidecar, also when named by a relative path
+        monkeypatch.chdir(tmp_path)
+        table = tmp_path / "s.csv"
+        assert run_cli("simulate", "--theta", "0.01", "--n-grid", "100,1000", "--reps", "2",
+                       "--seed", "8", "--mle-starts", "2", "--out", str(table)) == 0
+        files = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        plot = ("--plot", str(tmp_path / "s.svg")) if command == "report" else ()
+        for out in ("s.json", "s.csv", "./s.txt", "s.meta.json"):
+            capsys.readouterr()
+            assert run_cli(command, str(table), "--out", out, *plot) == 2
+            shown = capsys.readouterr()
+            assert shown.out == "" and "or its sidecar" in shown.err
+            assert {path: path.read_bytes() for path in tmp_path.iterdir()} == files
 
     def test_fit_missing_file_is_config_error(self, tmp_path):
         assert run_cli("fit", str(tmp_path / "nope.csv")) == 2

@@ -436,8 +436,8 @@ class TestBootstrap:
                            values, rtol=1e-12, atol=0.0)
         expected = (values.min(), *np.quantile(values, [0.25, 0.5, 0.75]), values.max())
         assert np.allclose(res.as_row(), expected, rtol=1e-12, atol=0.0)
-        assert res.n_at_bound == sum(e.at_bound for e in loop)
-        assert res.n_not_converged == sum(not e.converged for e in loop)
+        assert res.outcomes["replicas_at_bound"] == sum(e.at_bound for e in loop)
+        assert res.outcomes["replicas_not_converged"] == sum(not e.converged for e in loop)
         if n == 100:
             assert any(e.n_candidates > 2 for e in loop)
 
