@@ -11,9 +11,9 @@ from .estimator import FitResult, MleConfig, estimate_state, estimate_theta, fit
 from .fisher import (FisherBlocks, asymptotic_infidelity_coefficient, c_matrix,
                      c_norm, cfim_first_order, cfim_numeric, gill_massar_wmse,
                      gm_inequality_lhs, gm_optimal_cfim, gm_optimal_wmse, qfim_pure)
-from .povm import (MbsDevice, Povm, PovmFamily, effects_from_family,
-                   enumerate_families, gauge_fix_effects, haar_mean_c_norm,
-                   haar_random_povm, haar_random_unitary, load_mbs, optimize_phases)
+from .povm import (MbsDevice, Povm, effects_from_family, enumerate_families,
+                   gauge_fix_effects, haar_mean_c_norm, haar_random_povm,
+                   haar_random_unitary, load_mbs, optimize_phases)
 from .simulate import (BootstrapResult, NoiseConfig, SweepConfig, SweepResult,
                        bootstrap_infidelity, expected_infidelity_floor, perturb_effects,
                        prepared_state, run_sweep, sample_counts, trial_rng)

@@ -11,17 +11,18 @@ import json
 import os
 import sys
 import time
+from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
 from .assets import format_matrix_text
+from .blas import blas_threads
 from .errors import InvalidInput, PointTomoError
 from .estimator import MleConfig, fit_power_law
 from .fisher import (asymptotic_infidelity_coefficient, c_matrix, c_norm,
                      cfim_first_order, gm_inequality_lhs, qfim_pure)
-from .io import (atomic_write_text, config_hash, read_sweep_table, sweep_table_text,
-                 write_output)
+from .io import atomic_write_text, config_hash, read_sweep_table, sweep_table_text
 from .plotting import sweep_plot_svg
 from .povm import (effects_from_family, enumerate_families, haar_mean_c_norm,
                    load_device, optimize_phases)
@@ -46,11 +47,15 @@ def _family_povm(args):
     return effects_from_family(load_device(args.device), args.subset, args.phases)
 
 
-def _write_run(args, text: str, extra: dict | None = None, unhashed: tuple = (),
-               stage_s: dict | None = None) -> None:
-    """Write ``text`` to ``--out``, when given, and its sidecar, hashing every
-    argument except the output paths, the worker count and ``unhashed``, which
-    leave ``text`` unchanged; refuse to overwrite the input table or its sidecar."""
+def _write_run(args, text: str, extra: dict | None = None, unhashed: tuple = ()) -> None:
+    """Write ``text`` to ``--out``, when given, and its ``.meta.json`` sidecar,
+    each atomically; refuse to overwrite the input table or its sidecar.
+
+    The sidecar holds the hash of every argument except the output paths,
+    the worker count and ``unhashed``, which leave ``text`` unchanged; the
+    seed, library versions and BLAS thread caps; the ``extra`` keys; and a
+    timestamp. An ``extra["stage_s"]`` of stage wall seconds gains a
+    ``write`` stage, the seconds taken to write ``text``."""
     if not args.out:
         return
     if "infile" in args:
@@ -60,7 +65,17 @@ def _write_run(args, text: str, extra: dict | None = None, unhashed: tuple = (),
             raise InvalidInput(f"--out {args.out} would overwrite {args.infile} or its sidecar")
     skip = ("func", "out", "plot", "workers") + unhashed
     run = {k: v for k, v in vars(args).items() if k not in skip}
-    write_output(args.out, text, config_hash(run), vars(args).get("seed"), extra, stage_s)
+    start = time.perf_counter()
+    atomic_write_text(args.out, text)
+    extra = dict(extra or {})
+    if "stage_s" in extra:
+        extra["stage_s"] = {**extra["stage_s"], "write": time.perf_counter() - start}
+    record = {"config_hash": config_hash(run), "seed": vars(args).get("seed"),
+              "versions": {"pointtomo": __version__, "numpy": np.__version__},
+              "blas_threads": blas_threads(), **extra,
+              "timestamp": datetime.now(timezone.utc).isoformat()}
+    atomic_write_text(os.path.splitext(args.out)[0] + ".meta.json",
+                      json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def _note_outcomes(outcomes: dict) -> None:
@@ -86,8 +101,8 @@ def cmd_design(args) -> int:
     families = enumerate_families(device.n_ports, dim)
     rows = []
     for subset in families:
-        family, norm = optimize_phases(device, subset, norm_kind=args.norm)
-        rows.append((subset, norm, family.phases))
+        phases, norm = optimize_phases(device, subset, norm_kind=args.norm)
+        rows.append((subset, norm, phases))
     rows.sort(key=lambda r: r[1])
     # the norm is phase-invariant (see optimize_phases): both norm columns agree
     lines = ["subset,zero_phase_norm,optimized_norm,optimal_phases,winner"]
@@ -152,8 +167,7 @@ def cmd_simulate(args) -> int:
     table = sweep_table_text(result)
     _note_outcomes(result.outcomes)
     _write_run(args, table, extra={"rows": len(result.rows), "workers": result.workers,
-                                   **result.outcomes},
-               stage_s={"sweep": sweep_s})
+                                   **result.outcomes, "stage_s": {"sweep": sweep_s}})
     if not args.out:
         sys.stdout.write(table)
     if args.plot:
@@ -185,8 +199,7 @@ def cmd_bootstrap(args) -> int:
     sys.stdout.write(table)
     _note_outcomes(res.outcomes)
     _write_run(args, table, extra={"resampling": "empirical-frequencies", "workers": 1,
-                                   **res.outcomes},
-               stage_s={"estimate": estimate_s})
+                                   **res.outcomes, "stage_s": {"estimate": estimate_s}})
     return 0
 
 

@@ -94,13 +94,6 @@ def _linearized_theta(effects: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return (np.linalg.pinv(design) * (freqs - a0 ** 2)[:, None, :]).sum(axis=2)
 
 
-def _random_start(rng, m: int, radius: float) -> np.ndarray:
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, m))
-    phase = rng.uniform(0.0, 2.0 * np.pi, m)
-    t = r * np.exp(1j * phase)
-    return np.concatenate([t.real, t.imag])
-
-
 def _neg_log_likelihood(effects: np.ndarray):
     """Objective (x, weights) -> (values, gradients, Hessians) of the negative
     mean log-likelihood, for a (B, 2m) stack of points x and a (B, K) stack of
@@ -285,7 +278,10 @@ def _estimate_rows(effects: np.ndarray, counts: np.ndarray, cfg: MleConfig) -> t
              | on_chart_bound(x[:, :2]).any(axis=1))
     if retry.any():
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-        starts = np.array([_random_start(rng, m, cfg.start_radius) for _ in range(cfg.starts)])
+        # per start: m uniform radii, then m uniform phases
+        u = rng.uniform(size=(cfg.starts, 2, m))
+        t = cfg.start_radius * np.sqrt(u[:, 0]) * np.exp(1j * (2.0 * np.pi * u[:, 1]))
+        starts = np.concatenate([t.real, t.imag], axis=1)
         found = _descend(objective, np.tile(starts, (np.count_nonzero(retry), 1)),
                          np.repeat(weights[retry], cfg.starts, axis=0), cfg)
         f[retry, 2:], x[retry, 2:], ok[retry, 2:] = (
@@ -323,7 +319,8 @@ def fit_power_law(points) -> FitResult:
     """Least squares on (log N, log infidelity) over (N, infidelity) pairs.
 
     Points with infidelity exactly 0 are excluded with a warning; negative
-    infidelities are rejected.
+    infidelities are rejected. The points left must span at least two
+    distinct N, or the slope is undetermined.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
@@ -338,8 +335,8 @@ def fit_power_law(points) -> FitResult:
         warnings.warn(f"excluding {np.count_nonzero(~keep)} zero-infidelity points from the fit",
                       stacklevel=2)
     n, y = n[keep], y[keep]
-    if n.size < 2:
-        raise DegenerateInput("fewer than two positive points remain")
+    if np.unique(n).size < 2:
+        raise DegenerateInput("fewer than two distinct N remain among the positive points")
     slope, intercept = np.polyfit(np.log(n), np.log(y), 1)
     resid = np.log(y) - (intercept + slope * np.log(n))
     return FitResult(coefficient=float(np.exp(intercept)), exponent=float(slope),

@@ -1,8 +1,10 @@
-"""Table and metadata output: comma-separated text plus a JSON sidecar.
+"""Sweep tables as comma-separated text, atomic text writes and config hashes.
 
 Tables are UTF-8 with LF line endings and repr-exact floats, so identical
 (config, seed) pairs reproduce files byte for byte. Writes are atomic (tmp
-file + rename); a failed run leaves no partial table behind.
+file + rename); a failed run leaves no partial table behind. The JSON
+sidecar that records a run is assembled by the command line
+(:func:`pointtomo.cli._write_run`).
 """
 
 from __future__ import annotations
@@ -11,12 +13,9 @@ import hashlib
 import json
 import os
 import tempfile
-import time
-from datetime import datetime, timezone
 
 import numpy as np
 
-from .blas import blas_threads
 from .errors import InvalidInput
 from .simulate import SweepResult
 
@@ -72,37 +71,7 @@ def read_sweep_table(path: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def metadata_record(config_digest: str, seed: int | None, extra: dict | None = None) -> dict:
-    from . import __version__
-
-    return {
-        "config_hash": config_digest,
-        "seed": seed,
-        "versions": {"pointtomo": __version__, "numpy": np.__version__},
-        "blas_threads": blas_threads(),
-        **(extra or {}),
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-
-
 def config_hash(obj) -> str:
     """SHA-256 of the canonical (sorted-key, compact) JSON form of ``obj``."""
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def write_output(path: str, text: str, config_digest: str, seed: int | None,
-                 extra: dict | None = None, stage_s: dict | None = None) -> None:
-    """Write ``text`` to ``path`` and its ``.meta.json`` sidecar, each atomically.
-
-    ``stage_s`` maps the run's stages to their wall seconds; when given, the
-    sidecar records it under ``stage_s`` with a ``write`` stage added, the
-    seconds taken to write ``text``.
-    """
-    start = time.perf_counter()
-    atomic_write_text(path, text)
-    if stage_s is not None:
-        extra = {**(extra or {}), "stage_s": {**stage_s, "write": time.perf_counter() - start}}
-    record = metadata_record(config_digest, seed, extra)
-    atomic_write_text(os.path.splitext(path)[0] + ".meta.json",
-                      json.dumps(record, indent=2, sort_keys=True) + "\n")

@@ -77,42 +77,17 @@ class MbsDevice:
         return self.u.shape[0]
 
 
-@dataclass(frozen=True)
-class PovmFamily:
-    """A choice of connected inputs plus the input phases (phase 0 gauged out)."""
-
-    subset: tuple
-    phases: np.ndarray
-
-    def __post_init__(self):
-        subset = tuple(int(s) for s in self.subset)
-        if len(subset) < 2 or any(b <= a for a, b in zip(subset, subset[1:])):
-            raise InvalidInput(f"subset must be strictly increasing with >= 2 entries, got {subset}")
-        if subset[0] < 1:
-            raise InvalidInput("subset indices are 1-based")
-        phases = np.asarray(self.phases, dtype=float)
-        if phases.shape != (len(subset),):
-            raise InvalidInput(f"need one phase per connected input, got shape {phases.shape}")
-        if abs(phases[0]) > 0:
-            raise InvalidInput("the first phase is the gauge and must be 0")
-        phases = np.mod(phases, 2.0 * np.pi)
-        phases.setflags(write=False)
-        object.__setattr__(self, "subset", subset)
-        object.__setattr__(self, "phases", phases)
-
-
 def load_mbs(matrix, reunitarize: bool = True) -> MbsDevice:
     """Ingest a device transfer matrix, optionally projecting to the nearest unitary."""
     u = check_square_matrix(matrix, "device matrix")
     if u.shape[0] < 2:
         raise InvalidInput("device must have at least 2 ports")
-    svals = np.linalg.svd(u, compute_uv=False)
+    a, svals, vh = np.linalg.svd(u)   # u = a s vh, with the unitary polar factor a vh
     if svals.min() < 1e-6:
         raise DegenerateInput(f"device matrix is rank deficient (smallest singular value {svals.min():.3e})")
     deviation = float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2))
     if not reunitarize:
         return MbsDevice(u=u, unitarity_deviation=deviation)
-    a, _, vh = np.linalg.svd(u)   # the unitary polar factor of u = a s vh
     w = a @ vh
     distance = float(np.linalg.norm(u - w, 2))
     return MbsDevice(u=w, unitarity_deviation=deviation, reunitarized=True,
@@ -147,28 +122,34 @@ def gauge_fix_effects(raw: np.ndarray) -> np.ndarray:
     return fixed
 
 
-def _raw_family_effects(u: np.ndarray, subset, phases) -> np.ndarray:
-    cols = np.asarray(subset, dtype=int) - 1
-    return np.conj(u[:, cols] * np.exp(1j * np.asarray(phases, dtype=float))[None, :])
+def effects_from_family(mbs: MbsDevice, subset, phases=None) -> Povm:
+    """Build the D-outcome POVM for the connected inputs ``subset`` of the device.
 
-
-def effects_from_family(mbs: MbsDevice, family, phases=None) -> Povm:
-    """Build the D-outcome POVM for a connected-input family of the device.
-
-    ``family`` is a :class:`PovmFamily` or a plain subset, whose ``phases``
-    default to zero. A POVM whose completeness deviation exceeds 1e-6 is
-    still returned, with a warning; this happens for raw experimental
-    matrices that were not re-unitarized.
+    ``subset`` is 1-based and strictly increasing, with at least two
+    entries. ``phases`` gives one input phase per connected input in
+    radians, the first of them 0 (the gauge); it defaults to all zero. A
+    POVM whose completeness deviation exceeds 1e-6 is still returned, with
+    a warning; this happens for raw experimental matrices that were not
+    re-unitarized.
     """
-    if not isinstance(family, PovmFamily):
-        family = PovmFamily(family, np.zeros(len(family)) if phases is None else phases)
-    if family.subset[-1] > mbs.n_ports:
-        raise InvalidInput(f"subset {family.subset} is out of range for a {mbs.n_ports}-port device")
-    raw = _raw_family_effects(mbs.u, family.subset, family.phases)
+    subset = tuple(int(s) for s in subset)
+    if len(subset) < 2 or any(b <= a for a, b in zip(subset, subset[1:])):
+        raise InvalidInput(f"subset must be strictly increasing with >= 2 entries, got {subset}")
+    if subset[0] < 1:
+        raise InvalidInput("subset indices are 1-based")
+    phases = np.zeros(len(subset)) if phases is None else np.asarray(phases, dtype=float)
+    if phases.shape != (len(subset),):
+        raise InvalidInput(f"need one phase per connected input, got shape {phases.shape}")
+    if abs(phases[0]) > 0:
+        raise InvalidInput("the first phase is the gauge and must be 0")
+    if subset[-1] > mbs.n_ports:
+        raise InvalidInput(f"subset {subset} is out of range for a {mbs.n_ports}-port device")
+    cols = np.asarray(subset, dtype=int) - 1
+    raw = np.conj(mbs.u[:, cols] * np.exp(1j * np.mod(phases, 2.0 * np.pi))[None, :])
     povm = Povm(gauge_fix_effects(raw))
     if not povm.is_complete():
         warnings.warn(
-            f"POVM for subset {family.subset} deviates from completeness by "
+            f"POVM for subset {subset} deviates from completeness by "
             f"{povm.completeness_deviation:.3e}; consider re-unitarizing the device",
             stacklevel=2,
         )
@@ -194,20 +175,19 @@ def optimize_phases(mbs: MbsDevice, subset, n_starts: int = 32, seed: int = 0,
     identity device, because C is then block diagonal; otherwise it can
     depend on phi, and :class:`DegenerateInput` is raised.
 
-    Returns ``(PovmFamily, norm)`` of the zero-phase family. ``n_starts``
-    and ``seed`` are accepted for compatibility and do not change the
-    result.
+    Returns ``(phases, norm)``: the all-zero input phases and the norm at
+    them. ``n_starts`` and ``seed`` are accepted for compatibility and do
+    not change the result.
     """
-    family = PovmFamily(subset, np.zeros(len(subset)))
-    povm = effects_from_family(mbs, family)
+    povm = effects_from_family(mbs, subset)
     above = np.abs(povm.effects) > GAUGE_FLOOR
     anchor_of = np.eye(povm.dim, dtype=int)[above.argmax(axis=1)]
     # outcomes per (input j >= 1, anchor): one anchor per input keeps C block diagonal
     if np.any(np.count_nonzero(above[:, 1:].T @ anchor_of, axis=1) > 1):
         raise DegenerateInput(
-            f"subset {family.subset}: outcomes gauged on different coefficients reach a "
+            f"subset {tuple(map(int, subset))}: outcomes gauged on different coefficients reach a "
             "common input, so the C norm can depend on the input phases")
-    return family, matrix_norm(_c_gram(povm.effects), norm_kind)
+    return np.zeros(povm.dim), matrix_norm(_c_gram(povm.effects), norm_kind)
 
 
 def _haar_columns(n: int, count: int, rng, columns: int) -> np.ndarray:

@@ -8,8 +8,7 @@ from pointtomo.assets import U7_NAME, asset_text
 from pointtomo import cli
 from pointtomo.cli import main
 from pointtomo.fisher import asymptotic_infidelity_coefficient
-from pointtomo.io import (atomic_write_text, metadata_record, read_sweep_table,
-                          sweep_table_text)
+from pointtomo.io import atomic_write_text, read_sweep_table, sweep_table_text
 from pointtomo.estimator import MleConfig
 from pointtomo.simulate import (OUTCOMES, NoiseConfig, SweepConfig, SweepResult,
                                 bootstrap_infidelity, expected_infidelity_floor, perturb_effects,
@@ -36,8 +35,10 @@ class TestSimulateCommand:
                        "--seed", "9", "--mle-starts", "3", "--out", str(out)) == 0
         meta = json.loads((tmp_path / "sweep.meta.json").read_text())
         assert meta["seed"] == 9
+        assert meta["rows"] == 1
         assert len(meta["config_hash"]) == 64
-        assert "timestamp" in meta and "versions" in meta
+        assert datetime.fromisoformat(meta["timestamp"]).tzinfo is not None
+        assert "versions" in meta
         assert set(meta["versions"]) == {"pointtomo", "numpy"}
         assert all(n == 1 for n in meta["blas_threads"].values())
 
@@ -297,6 +298,14 @@ class TestOtherCommands:
         assert "tr(I J^-1): 3.0000000" in out
         assert "Haar baseline" in out
 
+    def test_fisher_bad_phases_is_config_error(self, capsys):
+        assert run_cli("fisher", "--subset", "1,3,5,7", "--phases", "0,0.3,1.1,2.0") == 0
+        capsys.readouterr()
+        assert run_cli("fisher", "--phases", "0.1,0,0,0") == 2
+        shown = capsys.readouterr()
+        assert shown.out == ""
+        assert shown.err == "configuration error: the first phase is the gauge and must be 0\n"
+
     def test_bootstrap_command(self, tmp_path, capsys):
         out = tmp_path / "boot.csv"
         assert run_cli("bootstrap", "--theta", "0.01", "--n", "400", "--boot", "12",
@@ -373,6 +382,20 @@ class TestOtherCommands:
             assert shown.out == "" and "or its sidecar" in shown.err
             assert {path: path.read_bytes() for path in tmp_path.iterdir()} == files
 
+    @pytest.mark.parametrize("command", ["fit", "report"])
+    def test_one_n_table_is_runtime_error(self, tmp_path, capsys, command):
+        # a single ensemble size leaves the power law's slope undetermined
+        table = tmp_path / "p.csv"
+        assert run_cli("simulate", "--theta", "0.01", "--n-grid", "100", "--reps", "2",
+                       "--seed", "8", "--mle-starts", "2", "--out", str(table)) == 0
+        files = set(tmp_path.iterdir())
+        plot = ("--plot", str(tmp_path / "r.svg")) if command == "report" else ()
+        capsys.readouterr()
+        assert run_cli(command, str(table), "--out", str(tmp_path / "f.json"), *plot) == 1
+        shown = capsys.readouterr()
+        assert shown.out == "" and "two distinct N" in shown.err
+        assert set(tmp_path.iterdir()) == files
+
     def test_fit_missing_file_is_config_error(self, tmp_path):
         assert run_cli("fit", str(tmp_path / "nope.csv")) == 2
         header = "N,trial,infidelity,boot_low,boot_q25,boot_median,boot_q75,boot_high\n"
@@ -408,13 +431,6 @@ class TestIoHelpers:
             atomic_write_text(str(target), object())  # type: ignore[arg-type]
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []
-
-    def test_metadata_record_fields(self):
-        rec = metadata_record("deadbeef", 7, extra={"rows": 2})
-        assert rec["config_hash"] == "deadbeef"
-        assert rec["seed"] == 7
-        assert rec["rows"] == 2
-        assert datetime.fromisoformat(rec["timestamp"]).tzinfo is not None
 
     def test_read_rejects_foreign_header(self, tmp_path):
         from pointtomo.errors import InvalidInput

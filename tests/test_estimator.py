@@ -503,3 +503,11 @@ class TestFitPowerLaw:
         with pytest.warns(UserWarning):
             with pytest.raises(DegenerateInput):
                 fit_power_law(np.array([[10, 0.1], [100, 0.0]]))
+
+    def test_one_distinct_n_is_degenerate(self):
+        # a one-N table gives no slope: polyfit would be rank deficient
+        with pytest.raises(DegenerateInput, match="two distinct N"):
+            fit_power_law(np.array([[100, 0.01], [100, 0.02], [100, 0.03]]))
+        with pytest.warns(UserWarning, match="zero-infidelity"):
+            with pytest.raises(DegenerateInput, match="two distinct N"):
+                fit_power_law(np.array([[100, 0.01], [100, 0.02], [1000, 0.0]]))

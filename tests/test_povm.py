@@ -4,7 +4,7 @@ import pytest
 from pointtomo.assets import reference_effects, reference_family_keys, seven_port_matrix
 from pointtomo.errors import DegenerateInput, InvalidInput
 from pointtomo.fisher import NORM_KINDS, c_matrix, c_norm, matrix_norm
-from pointtomo.povm import (GAUGE_FLOOR, Povm, PovmFamily, effects_from_family,
+from pointtomo.povm import (GAUGE_FLOOR, Povm, effects_from_family,
                             enumerate_families, gauge_fix_effects, haar_mean_c_norm,
                             haar_random_povm, haar_random_unitary, load_mbs, optimize_phases)
 
@@ -112,9 +112,24 @@ class TestEffectsFromFamily:
                 build(device, (4, 5, 6, 8))
 
     def test_family_object_with_phases(self, device):
-        family = PovmFamily(subset=(4, 5, 6, 7), phases=np.array([0.0, 0.3, 1.1, 2.0]))
-        povm = effects_from_family(device, family)
+        povm = effects_from_family(device, (4, 5, 6, 7), np.array([0.0, 0.3, 1.1, 2.0]))
         assert povm.completeness_deviation < 1e-10
+
+    @pytest.mark.parametrize("subset, phases, message", [
+        ((4, 4, 5, 6), None, "subset must be strictly increasing with >= 2 entries, "
+                             "got (4, 4, 5, 6)"),
+        ((0, 1, 2, 3), None, "subset indices are 1-based"),
+        ((4, 5, 6, 8), None, "subset (4, 5, 6, 8) is out of range for a 7-port device"),
+        ((4, 5, 6, 7), (0.0, 0.3, 1.1), "need one phase per connected input, got shape (3,)"),
+        ((4, 5, 6, 7), (0.1, 0.0, 0.0, 0.0), "the first phase is the gauge and must be 0"),
+        # the checks run in this order: subset, phase count, gauge, port range
+        ((0, 1, 2, 3), (0.0, 0.3, 1.1), "subset indices are 1-based"),
+        ((4, 5, 6, 8), (0.1, 0.0, 0.0, 0.0), "the first phase is the gauge and must be 0"),
+    ])
+    def test_malformed_family_is_rejected(self, device, subset, phases, message):
+        with pytest.raises(InvalidInput) as excinfo:
+            effects_from_family(device, subset, phases)
+        assert str(excinfo.value) == message
 
 
 @pytest.fixture(scope="module")
@@ -143,15 +158,15 @@ class TestOptimizePhases:
         for dev in design_devices:
             for subset in enumerate_families(7, 4):
                 for kind in NORM_KINDS:
-                    family, best = optimize_phases(dev, subset, norm_kind=kind)
-                    assert family.subset == subset
-                    assert not np.any(family.phases)
+                    phases, best = optimize_phases(dev, subset, norm_kind=kind)
+                    assert phases.shape == (len(subset),)
+                    assert not np.any(phases)
                     assert best == c_norm(effects_from_family(dev, subset), kind)
 
     def test_identity_device_norm_is_phase_invariant(self):
         dev = load_mbs(np.eye(4))
         zero_norm = c_norm(effects_from_family(dev, (1, 2, 3, 4)))
-        family, best = optimize_phases(dev, (1, 2, 3, 4), n_starts=4, seed=0)
+        _, best = optimize_phases(dev, (1, 2, 3, 4), n_starts=4, seed=0)
         assert zero_norm == pytest.approx(1.0, abs=1e-12)
         assert best == pytest.approx(1.0, abs=1e-9)
 
@@ -183,10 +198,10 @@ class TestOptimizePhases:
             assert best <= zero_norm + 1e-12
 
     def test_deterministic_given_seed(self, device):
-        fam1, best1 = optimize_phases(device, (4, 5, 6, 7), n_starts=3, seed=9)
-        fam2, best2 = optimize_phases(device, (4, 5, 6, 7), n_starts=3, seed=9)
+        phases1, best1 = optimize_phases(device, (4, 5, 6, 7), n_starts=3, seed=9)
+        phases2, best2 = optimize_phases(device, (4, 5, 6, 7), n_starts=3, seed=9)
         assert best1 == best2
-        assert np.array_equal(fam1.phases, fam2.phases)
+        assert np.array_equal(phases1, phases2)
 
     def test_winner_norm_anchor(self, device):
         _, best = optimize_phases(device, (4, 5, 6, 7), n_starts=8, seed=0)
