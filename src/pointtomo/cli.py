@@ -20,15 +20,15 @@ from .assets import format_matrix_text
 from .blas import blas_threads
 from .errors import InvalidInput, PointTomoError
 from .estimator import MleConfig, fit_power_law
-from .fisher import (asymptotic_infidelity_coefficient, c_matrix, c_norm,
-                     cfim_first_order, gm_inequality_lhs, qfim_pure)
+from .fisher import (asymptotic_infidelity_coefficient, c_matrix, c_norm, cfim_first_order,
+                     gill_massar_wmse, gm_inequality_lhs, qfim_pure)
 from .io import atomic_write_text, config_hash, read_sweep_table, sweep_table_text
 from .plotting import sweep_plot_svg
 from .povm import (effects_from_family, enumerate_families, haar_mean_c_norm,
                    load_device, optimize_phases)
 from .simulate import (NoiseConfig, SweepConfig, bootstrap_infidelity, check_theta_scalar,
-                       expected_infidelity_floor, prepared_state, run_sweep, sample_counts,
-                       sweep_povm, trial_rng)
+                       expected_infidelity_floor, perturb_effects, prepared_state, run_sweep,
+                       sample_counts, trial_rng)
 from .states import born_probabilities, depolarize, equal_deviation_state
 
 
@@ -149,10 +149,7 @@ def _sweep_config(args) -> SweepConfig:
         theta_scalar=args.theta,
         n_grid=args.n_grid,
         repetitions=args.reps,
-        noise=NoiseConfig(lam=args.lam, systematic_epsilon=args.epsilon),
-        subset=args.subset,
-        phases=args.phases,
-        device=args.device,
+        noise=NoiseConfig(lam=args.lam),
         seed=args.seed,
         n_boot=args.boot,
         mle=MleConfig(starts=args.mle_starts),
@@ -162,7 +159,10 @@ def _sweep_config(args) -> SweepConfig:
 def cmd_simulate(args) -> int:
     cfg = _sweep_config(args)
     start = time.perf_counter()
-    result = run_sweep(cfg, workers=args.workers)
+    # the misalignment is drawn from the master seed's root stream
+    povm = perturb_effects(_family_povm(args), args.epsilon,
+                           np.random.default_rng(np.random.SeedSequence(args.seed)))
+    result = run_sweep(cfg, povm, workers=args.workers)
     sweep_s = time.perf_counter() - start
     table = sweep_table_text(result)
     _note_outcomes(result.outcomes)
@@ -171,7 +171,6 @@ def cmd_simulate(args) -> int:
     if not args.out:
         sys.stdout.write(table)
     if args.plot:
-        povm = sweep_povm(cfg)
         rho = prepared_state(cfg, povm.dim)
         floor = expected_infidelity_floor(rho, povm)
         coef = asymptotic_infidelity_coefficient(povm)
@@ -225,7 +224,7 @@ def cmd_report(args) -> int:
         sel = table[table[:, 0] == n, 2]
         se = sel.std(ddof=1) / np.sqrt(sel.size) if sel.size > 1 else np.nan
         lines.append(f"{int(n):>10}  {sel.mean():>12.4e}  {np.median(sel):>12.4e}  "
-                     f"{(dim - 1) / n:>12.4e}  {n * sel.mean():>10.4f} +/- {n * se:.4f}")
+                     f"{gill_massar_wmse(dim, n):>12.4e}  {n * sel.mean():>10.4f} +/- {n * se:.4f}")
     fit = fit_power_law(table[:, :3:2])
     lines.append("")
     lines.append(f"power-law fit: infidelity ~ {fit.coefficient:.3f} * N^{fit.exponent:.3f} "

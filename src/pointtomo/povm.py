@@ -126,8 +126,8 @@ def effects_from_family(mbs: MbsDevice, subset, phases=None) -> Povm:
     """Build the D-outcome POVM for the connected inputs ``subset`` of the device.
 
     ``subset`` is 1-based and strictly increasing, with at least two
-    entries. ``phases`` gives one input phase per connected input in
-    radians, the first of them 0 (the gauge); it defaults to all zero. A
+    entries. ``phases`` gives one finite input phase per connected input
+    in radians, the first of them 0 (the gauge); it defaults to all zero. A
     POVM whose completeness deviation exceeds 1e-6 is still returned, with
     a warning; this happens for raw experimental matrices that were not
     re-unitarized.
@@ -140,6 +140,8 @@ def effects_from_family(mbs: MbsDevice, subset, phases=None) -> Povm:
     phases = np.zeros(len(subset)) if phases is None else np.asarray(phases, dtype=float)
     if phases.shape != (len(subset),):
         raise InvalidInput(f"need one phase per connected input, got shape {phases.shape}")
+    if not np.all(np.isfinite(phases)):
+        raise InvalidInput(f"input phases must be finite, got {tuple(phases.tolist())}")
     if abs(phases[0]) > 0:
         raise InvalidInput("the first phase is the gauge and must be 0")
     if subset[-1] > mbs.n_ports:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidInput, SweepError
 from .estimator import MleConfig, _estimate_rows, estimate_state, on_chart_bound
-from .povm import Povm, effects_from_family, gauge_fix_effects, load_device
+from .povm import Povm, gauge_fix_effects
 from .states import (DensityMatrix, born_probabilities, chart_amplitudes, depolarize,
                      equal_deviation_state, fidelities, fidelity)
 from .validation import check_counts, check_in_range, check_probability_vector
@@ -55,29 +55,23 @@ def check_theta_scalar(theta_scalar: float) -> None:
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Depolarizing weight and optional systematic misalignment strength."""
+    """Depolarizing weight of the prepared state."""
 
     lam: float = 1.0
-    systematic_epsilon: float = 0.0
 
     def __post_init__(self):
         check_in_range(self.lam, 0.0, 1.0, "lam")
-        if not (np.isfinite(self.systematic_epsilon) and self.systematic_epsilon >= 0):
-            raise InvalidInput("systematic_epsilon must be finite and >= 0, "
-                               f"got {self.systematic_epsilon}")
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Declarative description of an infidelity-vs-ensemble-size sweep."""
+    """Declarative description of an infidelity-vs-ensemble-size sweep; the
+    measurement it samples is the POVM passed to :func:`run_sweep`."""
 
     theta_scalar: float
     n_grid: tuple
     repetitions: int
     noise: NoiseConfig = NoiseConfig()
-    subset: tuple = (4, 5, 6, 7)
-    phases: tuple | None = None
-    device: str = "u7"
     seed: int = 0
     n_boot: int = 0
     mle: MleConfig = MleConfig()
@@ -92,9 +86,6 @@ class SweepConfig:
         if self.n_boot != 0 and self.n_boot < 10:
             raise InvalidInput(f"n_boot must be 0 (no bootstrap) or >= 10, got {self.n_boot}")
         object.__setattr__(self, "n_grid", grid)
-        object.__setattr__(self, "subset", tuple(int(s) for s in self.subset))
-        if self.phases is not None:
-            object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
 
 
 @dataclass(frozen=True)
@@ -163,10 +154,11 @@ def perturb_effects(povm: Povm, epsilon: float, rng) -> Povm:
     H is a fixed random Hermitian matrix with GUE normalization drawn from
     ``rng``; the rotation is unitary, so completeness is preserved. The
     phase convention is re-fixed afterwards. epsilon = 0 returns the input
-    unchanged.
+    unchanged. A sweep's misalignment is this rotation applied by the caller;
+    ``simulate --epsilon`` draws it from the master seed's root stream.
     """
     if not (np.isfinite(epsilon) and epsilon >= 0):
-        raise InvalidInput(f"epsilon must be finite and >= 0, got {epsilon}")
+        raise InvalidInput(f"systematic_epsilon must be finite and >= 0, got {epsilon}")
     if epsilon == 0:
         return povm
     d = povm.dim
@@ -248,18 +240,6 @@ def bootstrap_infidelity(counts, povm, reference, n_boot: int, rng,
     return BootstrapResult(*spread[0].tolist(), n_boot, not replicas, dict(zip(OUTCOMES, tally)))
 
 
-def sweep_povm(cfg: SweepConfig, povm: Povm | None = None) -> Povm:
-    """Measurement the sweep samples: ``povm`` (by default the configured
-    device family) under the configured systematic misalignment, drawn from
-    the master seed's root stream."""
-    if povm is None:
-        povm = effects_from_family(load_device(cfg.device), cfg.subset, cfg.phases)
-    if cfg.noise.systematic_epsilon > 0:
-        povm = perturb_effects(povm, cfg.noise.systematic_epsilon,
-                               np.random.default_rng(np.random.SeedSequence(cfg.seed)))
-    return povm
-
-
 def prepared_state(cfg: SweepConfig, dim: int) -> DensityMatrix:
     """Noisy true state of the sweep: depolarized equal-deviation state."""
     return depolarize(equal_deviation_state(cfg.theta_scalar, dim), cfg.noise.lam)
@@ -275,8 +255,8 @@ def _sweep_rows(povm: Povm, rho: DensityMatrix, cfg: SweepConfig, group) -> tupl
     return _trials(rho, povm, draws, cfg.mle, cfg.n_boot)
 
 
-def run_sweep(cfg: SweepConfig, povm: Povm | None = None, workers: int = 1) -> SweepResult:
-    """Execute all (N, trial) work items of a sweep.
+def run_sweep(cfg: SweepConfig, povm: Povm, workers: int = 1) -> SweepResult:
+    """Execute all (N, trial) work items of a sweep, sampling ``povm``.
 
     The items are split into contiguous groups of whole trials, at most
     ``_REPLICA_BLOCK // (1 + n_boot)`` trials and at least ``workers``
@@ -291,7 +271,6 @@ def run_sweep(cfg: SweepConfig, povm: Povm | None = None, workers: int = 1) -> S
     """
     if workers < 1:
         raise InvalidInput(f"workers must be >= 1, got {workers}")
-    povm = sweep_povm(cfg, povm)
     rho = prepared_state(cfg, povm.dim)
     items = [(i, n, t) for i, n in enumerate(cfg.n_grid) for t in range(cfg.repetitions)]
     # the fork start method launches every requested process at the first submit
@@ -318,12 +297,12 @@ def run_sweep(cfg: SweepConfig, povm: Povm | None = None, workers: int = 1) -> S
     return SweepResult(tuple(rows), False, outcomes, workers)
 
 
-def expected_infidelity_floor(rho: DensityMatrix, povm: Povm,
-                              mle: MleConfig = MleConfig(starts=16)) -> float:
+def expected_infidelity_floor(rho: DensityMatrix, povm: Povm) -> float:
     """Infinite-ensemble infidelity: estimate from exact outcome probabilities.
 
     This is the plateau level that finite-statistics sweeps approach when
     the preparation is noisy or sits outside the exactly identifiable
     neighborhood.
     """
-    return 1.0 - fidelity(estimate_state(born_probabilities(povm, rho), povm, mle), rho)
+    estimate = estimate_state(born_probabilities(povm, rho), povm, MleConfig(starts=16))
+    return 1.0 - fidelity(estimate, rho)

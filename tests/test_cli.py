@@ -1,4 +1,5 @@
 import json
+import warnings
 from datetime import datetime
 
 import numpy as np
@@ -10,6 +11,7 @@ from pointtomo.cli import main
 from pointtomo.fisher import asymptotic_infidelity_coefficient
 from pointtomo.io import atomic_write_text, read_sweep_table, sweep_table_text
 from pointtomo.estimator import MleConfig
+from pointtomo.povm import effects_from_family
 from pointtomo.simulate import (OUTCOMES, NoiseConfig, SweepConfig, SweepResult,
                                 bootstrap_infidelity, expected_infidelity_floor, perturb_effects,
                                 run_sweep, sample_counts, trial_rng)
@@ -183,14 +185,22 @@ class TestSimulateCommand:
         meta = json.loads(out.with_suffix(".meta.json").read_text())
         assert meta["workers"] == 1 and set(meta["stage_s"]) == {"estimate", "write"}
 
-    def test_library_sweep_matches_cli(self, capsys):
+    def test_library_sweep_matches_cli(self, capsys, device):
+        # the CLI measures the family under a misalignment drawn from the
+        # seed's root stream
         cfg = SweepConfig(theta_scalar=0.01, n_grid=(500,), repetitions=3, seed=7,
-                          noise=NoiseConfig(systematic_epsilon=0.05), mle=MleConfig(starts=2))
-        table = sweep_table_text(run_sweep(cfg))
-        assert run_cli("simulate", "--theta", "0.01", "--n-grid", "500", "--reps", "3",
-                       "--seed", "7", "--epsilon", "0.05", "--mle-starts", "2",
-                       "--workers", "1") == 0
-        assert capsys.readouterr().out == table
+                          mle=MleConfig(starts=2))
+        cases = [((), (4, 5, 6, 7), None),
+                 (("--subset", "1,3,5,7", "--phases", "0,0.3,1.1,2.0"), (1, 3, 5, 7),
+                  (0, 0.3, 1.1, 2.0))]
+        for family, subset, phases in cases:
+            povm = perturb_effects(effects_from_family(device, subset, phases), 0.05,
+                                   np.random.default_rng(np.random.SeedSequence(7)))
+            table = sweep_table_text(run_sweep(cfg, povm))
+            assert run_cli("simulate", "--theta", "0.01", "--n-grid", "500", "--reps", "3",
+                           "--seed", "7", "--epsilon", "0.05", "--mle-starts", "2",
+                           "--workers", "1", *family) == 0
+            assert capsys.readouterr().out == table
 
     def test_bad_device_path_is_config_error(self, tmp_path):
         code = run_cli("simulate", "--theta", "0.01", "--n-grid", "50", "--seed", "1",
@@ -305,6 +315,15 @@ class TestOtherCommands:
         shown = capsys.readouterr()
         assert shown.out == ""
         assert shown.err == "configuration error: the first phase is the gauge and must be 0\n"
+        # a non-finite phase is named as such, without a numpy warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("fisher", "--phases", "0,inf,0,0") == 2
+        assert caught == []
+        shown = capsys.readouterr()
+        assert shown.out == ""
+        assert shown.err == "configuration error: input phases must be finite, " \
+                            "got (0.0, inf, 0.0, 0.0)\n"
 
     def test_bootstrap_command(self, tmp_path, capsys):
         out = tmp_path / "boot.csv"
@@ -394,6 +413,20 @@ class TestOtherCommands:
         assert run_cli(command, str(table), "--out", str(tmp_path / "f.json"), *plot) == 1
         shown = capsys.readouterr()
         assert shown.out == "" and "two distinct N" in shown.err
+        assert set(tmp_path.iterdir()) == files
+
+    @pytest.mark.parametrize("dim", ["0", "1"])
+    def test_report_dim_below_two_is_config_error(self, tmp_path, capsys, dim):
+        # the Gill-Massar column (d - 1)/N needs a qudit, d >= 2
+        table = tmp_path / "t.csv"
+        assert run_cli("simulate", "--theta", "0.01", "--n-grid", "100,1000", "--reps", "2",
+                       "--seed", "8", "--mle-starts", "2", "--out", str(table)) == 0
+        files = set(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run_cli("report", str(table), "--dim", dim, "--out", str(tmp_path / "r.txt"),
+                       "--plot", str(tmp_path / "r.svg")) == 2
+        shown = capsys.readouterr()
+        assert shown.out == "" and shown.err == "configuration error: need d >= 2 and n_exp >= 1\n"
         assert set(tmp_path.iterdir()) == files
 
     def test_fit_missing_file_is_config_error(self, tmp_path):

@@ -122,9 +122,15 @@ class TestEffectsFromFamily:
         ((4, 5, 6, 8), None, "subset (4, 5, 6, 8) is out of range for a 7-port device"),
         ((4, 5, 6, 7), (0.0, 0.3, 1.1), "need one phase per connected input, got shape (3,)"),
         ((4, 5, 6, 7), (0.1, 0.0, 0.0, 0.0), "the first phase is the gauge and must be 0"),
-        # the checks run in this order: subset, phase count, gauge, port range
+        # the checks run in this order: subset, phase count, finiteness, gauge, port range
         ((0, 1, 2, 3), (0.0, 0.3, 1.1), "subset indices are 1-based"),
         ((4, 5, 6, 8), (0.1, 0.0, 0.0, 0.0), "the first phase is the gauge and must be 0"),
+        ((4, 5, 6, 7), (np.nan, 0.0, 0.0, 0.0), "input phases must be finite, "
+                                                "got (nan, 0.0, 0.0, 0.0)"),
+        ((4, 5, 6, 7), (0.0, np.nan, 0.0, 0.0), "input phases must be finite, "
+                                                "got (0.0, nan, 0.0, 0.0)"),
+        ((4, 5, 6, 7), (0.0, np.inf, 0.0, 0.0), "input phases must be finite, "
+                                                "got (0.0, inf, 0.0, 0.0)"),
     ])
     def test_malformed_family_is_rejected(self, device, subset, phases, message):
         with pytest.raises(InvalidInput) as excinfo:

@@ -108,10 +108,8 @@ class TestPerturbEffects:
 
     @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
     def test_non_finite_strength_rejected(self, family_povm, epsilon):
-        with pytest.raises(InvalidInput):
-            perturb_effects(family_povm, epsilon, np.random.default_rng(0))
         with pytest.raises(InvalidInput, match="systematic_epsilon"):
-            NoiseConfig(systematic_epsilon=epsilon)
+            perturb_effects(family_povm, epsilon, np.random.default_rng(0))
 
     @pytest.mark.parametrize("epsilon", [1e-3, 0.05, 0.3])
     def test_rotation_is_unitary(self, epsilon):
@@ -226,18 +224,18 @@ class TestRunSweep:
     CFG = SweepConfig(theta_scalar=0.01, n_grid=(200, 2000), repetitions=4,
                       noise=NoiseConfig(lam=1.0), seed=42, mle=MleConfig(starts=4))
 
-    def test_determinism_bitwise(self):
-        t1 = sweep_table_text(run_sweep(self.CFG))
-        t2 = sweep_table_text(run_sweep(self.CFG))
+    def test_determinism_bitwise(self, family_povm):
+        t1 = sweep_table_text(run_sweep(self.CFG, family_povm))
+        t2 = sweep_table_text(run_sweep(self.CFG, family_povm))
         assert t1 == t2
 
-    def test_worker_count_does_not_change_results(self):
-        t1 = sweep_table_text(run_sweep(self.CFG, workers=1))
-        t2 = sweep_table_text(run_sweep(self.CFG, workers=2))
+    def test_worker_count_does_not_change_results(self, family_povm):
+        t1 = sweep_table_text(run_sweep(self.CFG, family_povm, workers=1))
+        t2 = sweep_table_text(run_sweep(self.CFG, family_povm, workers=2))
         assert t1 == t2
 
-    def test_rows_key_uniqueness_and_shape(self):
-        res = run_sweep(self.CFG)
+    def test_rows_key_uniqueness_and_shape(self, family_povm):
+        res = run_sweep(self.CFG, family_povm)
         arr = res.as_array()
         keys = {(int(r[0]), int(r[1])) for r in arr}
         assert len(keys) == len(arr) == 8
@@ -319,14 +317,14 @@ class TestRunSweep:
 
         monkeypatch.setattr(sim, "_estimate_rows", flaky)
 
-    def test_trial_error_aborts_with_partial_flag(self, monkeypatch):
+    def test_trial_error_aborts_with_partial_flag(self, family_povm, monkeypatch):
         # blocks of 2 rows: the second group, trials 2 and 3, fails
         self.fail_second_batch(monkeypatch)
         monkeypatch.setattr(sim, "_REPLICA_BLOCK", 2)
         cfg = SweepConfig(theta_scalar=0.01, n_grid=(50,), repetitions=4, seed=1,
                           mle=MleConfig(starts=2))
         with pytest.raises(SweepError) as excinfo:
-            run_sweep(cfg)
+            run_sweep(cfg, family_povm)
         assert excinfo.value.partial.partial
         assert len(excinfo.value.partial.rows) == 2
         assert "N=50" in str(excinfo.value)
@@ -375,13 +373,12 @@ class TestRunSweep:
             assert all(np.array_equal(b[0], counts) for b, counts in zip(batches[::2], trials))
 
     def test_systematic_epsilon_changes_results(self, family_povm):
-        base = SweepConfig(theta_scalar=0.01, n_grid=(500,), repetitions=3, seed=3,
-                           mle=MleConfig(starts=3))
-        bent = SweepConfig(theta_scalar=0.01, n_grid=(500,), repetitions=3, seed=3,
-                           noise=NoiseConfig(lam=1.0, systematic_epsilon=0.05),
-                           mle=MleConfig(starts=3))
-        t_base = run_sweep(base, povm=family_povm).as_array()[:, 2]
-        t_bent = run_sweep(bent, povm=family_povm).as_array()[:, 2]
+        cfg = SweepConfig(theta_scalar=0.01, n_grid=(500,), repetitions=3, seed=3,
+                          mle=MleConfig(starts=3))
+        bent = perturb_effects(family_povm, 0.05,
+                               np.random.default_rng(np.random.SeedSequence(cfg.seed)))
+        t_base = run_sweep(cfg, family_povm).as_array()[:, 2]
+        t_bent = run_sweep(cfg, bent).as_array()[:, 2]
         assert not np.allclose(t_base, t_bent)
 
     @pytest.mark.parametrize("workers, block", [(1, None), (2, None), (1, 7)])
@@ -424,11 +421,12 @@ class TestRunSweep:
                 expected.append((float(n), float(t), infidelity) + boot.as_row())
         assert run_sweep(cfg, povm=family_povm).rows == tuple(expected)
 
-    def test_rows_compare_equal_across_a_process_pool(self):
+    def test_rows_compare_equal_across_a_process_pool(self, family_povm):
         # without a bootstrap every row holds NaN placeholders; the rows are
         # built in this process, so a real 2-worker pool gives equal rows
         cfg = SweepConfig(theta_scalar=0.01, n_grid=(50, 100), repetitions=2, seed=1)
-        assert run_sweep(cfg, workers=2).rows == run_sweep(cfg, workers=1).rows
+        assert (run_sweep(cfg, family_povm, workers=2).rows
+                == run_sweep(cfg, family_povm, workers=1).rows)
 
     def test_rows_reproduce_standalone_point_estimates(self, family_povm):
         # each row's infidelity is a standalone estimate_theta on the trial's
