@@ -37,15 +37,10 @@ def parse_matrix_text(text: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def format_matrix_text(mat: np.ndarray, header=()) -> str:
-    lines = [f"# {h}" for h in header]
-    for row in np.atleast_2d(np.asarray(mat, dtype=complex)):
-        toks = []
-        for z in row:
-            sign = "+" if z.imag >= 0 else "-"
-            toks.append(f"{z.real:+.10g}{sign}{abs(z.imag):.10g}j")
-        lines.append(" ".join(toks))
-    return "\n".join(lines) + "\n"
+def format_matrix_text(mat: np.ndarray) -> str:
+    return "".join(" ".join(f"{z.real:+.10g}{'+' if z.imag >= 0 else '-'}{abs(z.imag):.10g}j"
+                            for z in row) + "\n"
+                   for row in np.atleast_2d(np.asarray(mat, dtype=complex)))
 
 
 def load_matrix(path) -> np.ndarray:

@@ -20,8 +20,8 @@ from .assets import format_matrix_text
 from .blas import blas_threads
 from .errors import InvalidInput, PointTomoError
 from .estimator import MleConfig, fit_power_law
-from .fisher import (asymptotic_infidelity_coefficient, c_matrix, c_norm, cfim_first_order,
-                     gill_massar_wmse, gm_inequality_lhs, qfim_pure)
+from .fisher import (NORM_KINDS, asymptotic_infidelity_coefficient, c_matrix, c_norm,
+                     cfim_first_order, gill_massar_wmse, gm_inequality_lhs, qfim_pure)
 from .io import atomic_write_text, config_hash, read_sweep_table, sweep_table_text
 from .plotting import sweep_plot_svg
 from .povm import (effects_from_family, enumerate_families, haar_mean_c_norm,
@@ -43,26 +43,46 @@ def _parse_floats(text: str) -> tuple:
     return tuple(float(tok) for tok in text.replace(" ", "").split(",") if tok)
 
 
+def _seed(text: str) -> int:
+    if (seed := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _family_povm(args):
     return effects_from_family(load_device(args.device), args.subset, args.phases)
 
 
-def _write_run(args, text: str, extra: dict | None = None, unhashed: tuple = ()) -> None:
-    """Write ``text`` to ``--out``, when given, and its ``.meta.json`` sidecar,
-    each atomically; refuse to overwrite the input table or its sidecar.
+def _sidecar(path: str) -> str:
+    return os.path.splitext(path)[0] + ".meta.json"
+
+
+def _check_paths(args) -> None:
+    """Refuse a run that would write ``--out``, its sidecar or ``--plot`` over
+    one another, the input table or the input's sidecar."""
+    taken = {}                            # real path -> the input or --out it belongs to
+    for flag in ("infile", "out", "plot"):
+        if path := vars(args).get(flag):
+            own = {os.path.realpath(p) for p in (path, path if flag == "plot" else _sidecar(path))}
+            if hit := own & taken.keys():
+                raise InvalidInput(f"--{flag} {path} would overwrite {taken[hit.pop()]} or its sidecar")
+            taken.update(dict.fromkeys(own, path))
+
+
+def _write_run(args, text: str, extra: dict | None = None, unhashed: tuple = (),
+               svg: str | None = None) -> None:
+    """Write ``svg`` to ``--plot``, ``text`` to ``--out`` and its ``.meta.json``
+    sidecar, each atomically when given, to paths :func:`_check_paths` let pass.
 
     The sidecar holds the hash of every argument except the output paths,
     the worker count and ``unhashed``, which leave ``text`` unchanged; the
     seed, library versions and BLAS thread caps; the ``extra`` keys; and a
     timestamp. An ``extra["stage_s"]`` of stage wall seconds gains a
     ``write`` stage, the seconds taken to write ``text``."""
+    if svg:
+        atomic_write_text(args.plot, svg)
     if not args.out:
         return
-    if "infile" in args:
-        written, read = ({p, os.path.splitext(p)[0] + ".meta.json"}
-                         for p in map(os.path.realpath, (args.out, args.infile)))
-        if written & read:
-            raise InvalidInput(f"--out {args.out} would overwrite {args.infile} or its sidecar")
     skip = ("func", "out", "plot", "workers") + unhashed
     run = {k: v for k, v in vars(args).items() if k not in skip}
     start = time.perf_counter()
@@ -74,8 +94,7 @@ def _write_run(args, text: str, extra: dict | None = None, unhashed: tuple = ())
               "versions": {"pointtomo": __version__, "numpy": np.__version__},
               "blas_threads": blas_threads(), **extra,
               "timestamp": datetime.now(timezone.utc).isoformat()}
-    atomic_write_text(os.path.splitext(args.out)[0] + ".meta.json",
-                      json.dumps(record, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(_sidecar(args.out), json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def _note_outcomes(outcomes: dict) -> None:
@@ -97,8 +116,7 @@ def _add_family_args(p):
 
 def cmd_design(args) -> int:
     device = load_device(args.device)
-    dim = args.dim
-    families = enumerate_families(device.n_ports, dim)
+    families = enumerate_families(device.n_ports, args.dim)
     rows = []
     for subset in families:
         phases, norm = optimize_phases(device, subset, norm_kind=args.norm)
@@ -123,15 +141,14 @@ def cmd_fisher(args) -> int:
     c = c_matrix(povm)
     cfim = cfim_first_order(povm)
     qfim = qfim_pure(np.zeros(povm.dim - 1, dtype=complex))
-    out = []
-    out.append("C matrix:\n" + format_matrix_text(c))
-    out.append(f"{args.norm} norm of C: {c_norm(povm, args.norm):.6f}")
-    out.append(f"asymptotic infidelity coefficient: {asymptotic_infidelity_coefficient(povm):.6f}")
-    out.append("CFIM diagonal block at the fiducial point:\n" + format_matrix_text(cfim.diag_block))
-    out.append("CFIM off block at the fiducial point:\n" + format_matrix_text(cfim.off_block))
-    out.append("QFIM diagonal block at the fiducial point:\n" + format_matrix_text(qfim.diag_block))
-    out.append("QFIM off block at the fiducial point:\n" + format_matrix_text(qfim.off_block))
-    out.append(f"tr(I J^-1): {gm_inequality_lhs(cfim, qfim):.12f} (bound {povm.dim - 1})")
+    out = ["C matrix:\n" + format_matrix_text(c),
+           f"{args.norm} norm of C: {c_norm(povm, args.norm):.6f}",
+           f"asymptotic infidelity coefficient: {asymptotic_infidelity_coefficient(povm):.6f}",
+           "CFIM diagonal block at the fiducial point:\n" + format_matrix_text(cfim.diag_block),
+           "CFIM off block at the fiducial point:\n" + format_matrix_text(cfim.off_block),
+           "QFIM diagonal block at the fiducial point:\n" + format_matrix_text(qfim.diag_block),
+           "QFIM off block at the fiducial point:\n" + format_matrix_text(qfim.off_block),
+           f"tr(I J^-1): {gm_inequality_lhs(cfim, qfim):.12f} (bound {povm.dim - 1})"]
     if args.haar_baseline:
         rng = np.random.default_rng(args.seed)
         mean, err = haar_mean_c_norm(povm.dim, povm.n_outcomes, args.haar_baseline, rng,
@@ -166,17 +183,14 @@ def cmd_simulate(args) -> int:
     sweep_s = time.perf_counter() - start
     table = sweep_table_text(result)
     _note_outcomes(result.outcomes)
+    svg = args.plot and sweep_plot_svg(
+        result.as_array(), gm_coefficient=povm.dim - 1,
+        model_floor=expected_infidelity_floor(prepared_state(cfg, povm.dim), povm),
+        model_coefficient=asymptotic_infidelity_coefficient(povm))
     _write_run(args, table, extra={"rows": len(result.rows), "workers": result.workers,
-                                   **result.outcomes, "stage_s": {"sweep": sweep_s}})
+                                   **result.outcomes, "stage_s": {"sweep": sweep_s}}, svg=svg)
     if not args.out:
         sys.stdout.write(table)
-    if args.plot:
-        rho = prepared_state(cfg, povm.dim)
-        floor = expected_infidelity_floor(rho, povm)
-        coef = asymptotic_infidelity_coefficient(povm)
-        svg = sweep_plot_svg(result.as_array(), gm_coefficient=povm.dim - 1,
-                             model_floor=floor, model_coefficient=coef)
-        atomic_write_text(args.plot, svg)
     return 0
 
 
@@ -216,25 +230,21 @@ def cmd_fit(args) -> int:
 
 def cmd_report(args) -> int:
     table = read_sweep_table(args.infile)
-    dim = args.dim
-    lines = [f"sweep report ({len(table)} trials)", ""]
-    lines.append(f"{'N':>10}  {'mean infid':>12}  {'median':>12}  {'GM (d-1)/N':>12}  "
-                 f"{'N*mean infid +/- SE':>21}")
+    lines = [f"sweep report ({len(table)} trials)", "",
+             f"{'N':>10}  {'mean infid':>12}  {'median':>12}  {'GM (d-1)/N':>12}  "
+             f"{'N*mean infid +/- SE':>21}"]
     for n in np.unique(table[:, 0]):
         sel = table[table[:, 0] == n, 2]
         se = sel.std(ddof=1) / np.sqrt(sel.size) if sel.size > 1 else np.nan
         lines.append(f"{int(n):>10}  {sel.mean():>12.4e}  {np.median(sel):>12.4e}  "
-                     f"{gill_massar_wmse(dim, n):>12.4e}  {n * sel.mean():>10.4f} +/- {n * se:.4f}")
+                     f"{gill_massar_wmse(args.dim, n):>12.4e}  {n * sel.mean():>10.4f} +/- {n * se:.4f}")
     fit = fit_power_law(table[:, :3:2])
     lines.append("")
     lines.append(f"power-law fit: infidelity ~ {fit.coefficient:.3f} * N^{fit.exponent:.3f} "
                  f"(log-residual RMS {fit.residual:.3f})")
     text = "\n".join(lines) + "\n"
-    _write_run(args, text)
+    _write_run(args, text, svg=args.plot and sweep_plot_svg(table, gm_coefficient=args.dim - 1))
     sys.stdout.write(text)
-    if args.plot:
-        svg = sweep_plot_svg(table, gm_coefficient=dim - 1)
-        atomic_write_text(args.plot, svg)
     return 0
 
 
@@ -249,19 +259,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design", help="rank all input families of a device by C norm")
     p.add_argument("--device", default="u7", help=DEVICE_HELP)
     p.add_argument("--dim", type=int, default=4)
-    p.add_argument("--norm", choices=["spectral", "frobenius"], default="spectral")
+    p.add_argument("--norm", choices=NORM_KINDS, default="spectral")
     p.add_argument("--starts", type=int, default=32,
                    help="no effect: the C norm does not depend on the input phases")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="no effect: the C norm does not depend on the input phases")
     p.add_argument("--out")
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("fisher", help="information matrices and C norm of one family")
     _add_family_args(p)
-    p.add_argument("--norm", choices=["spectral", "frobenius"], default="spectral")
+    p.add_argument("--norm", choices=NORM_KINDS, default="spectral")
     p.add_argument("--haar-baseline", type=int, default=0, metavar="SAMPLES")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_fisher)
 
@@ -271,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="deviation scalar of the prepared state")
         p.add_argument("--lambda", dest="lam", type=float, default=1.0,
                        help="depolarizing weight of the preparation (1 = noiseless)")
-        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--seed", type=_seed, required=True)
         p.add_argument("--boot", type=int, default=0, help="bootstrap replicas per trial")
         p.add_argument("--mle-starts", type=int, default=8)
 
@@ -314,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_paths(args)
         return args.func(args)
     except (InvalidInput, FileNotFoundError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -65,10 +65,6 @@ class FisherBlocks:
         if evals.min() < PSD_TOL:
             raise ConsistencyError(f"assembled information matrix has eigenvalue {evals.min()}")
 
-    @property
-    def n_params(self) -> int:
-        return self.diag_block.shape[0]
-
     def assembled(self) -> np.ndarray:
         """Full 2(d-1) x 2(d-1) information matrix [[B, S], [S*, B*]]."""
         top = np.hstack([self.diag_block, self.off_block])
@@ -76,13 +72,13 @@ class FisherBlocks:
         return np.vstack([top, bottom])
 
 
-def qfim_pure(theta, dim: int | None = None) -> FisherBlocks:
+def qfim_pure(theta) -> FisherBlocks:
     """Quantum Fisher information blocks of the pure chart state at ``theta``.
 
     The closed form of the module docstring; at theta = 0 this is
     J = 2 * identity, Q = 0.
     """
-    theta = check_local_parameters(theta, dim)
+    theta = check_local_parameters(theta)
     s = 1.0 + float(np.real(np.vdot(theta, theta)))
     jblk = (2.0 / s) * (np.eye(theta.size) - np.outer(theta.conj(), theta) / s)
     return FisherBlocks(jblk, np.zeros_like(jblk))
@@ -179,39 +175,6 @@ def gm_inequality_lhs(cfim: FisherBlocks, qfim: FisherBlocks) -> float:
         raise NumericalError(f"quantum information matrix is ill conditioned (cond={cond:.3e})")
     val = np.trace(cfim.assembled() @ np.linalg.inv(jm))
     return float(val.real)
-
-
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    evals, vecs = np.linalg.eigh(0.5 * (mat + mat.conj().T))
-    return (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
-
-
-def gm_optimal_wmse(qfim: FisherBlocks, weight: np.ndarray, n_exp: int) -> float:
-    """Optimal weighted mean square error under the trace constraint.
-
-    For weight = J_hat / 4 (the infidelity weighting) this reduces to
-    (d - 1) / n_exp.
-    """
-    if n_exp < 1:
-        raise InvalidInput("n_exp must be >= 1")
-    jm = qfim.assembled()
-    m = qfim.n_params
-    jinv_sqrt = np.linalg.inv(_psd_sqrt(jm))
-    inner = _psd_sqrt(jinv_sqrt @ weight @ jinv_sqrt)
-    return float((np.trace(inner).real ** 2) / (m * n_exp))
-
-
-def gm_optimal_cfim(qfim: FisherBlocks, weight: np.ndarray) -> np.ndarray:
-    """Classical information matrix attaining the optimal weighted error.
-
-    For weight = J_hat / 4 this is J_hat / 2.
-    """
-    jm = qfim.assembled()
-    m = qfim.n_params
-    j_sqrt = _psd_sqrt(jm)
-    jinv_sqrt = np.linalg.inv(j_sqrt)
-    inner = _psd_sqrt(jinv_sqrt @ weight @ jinv_sqrt)
-    return m * j_sqrt @ (inner / np.trace(inner).real) @ j_sqrt
 
 
 def asymptotic_infidelity_coefficient(povm) -> float:

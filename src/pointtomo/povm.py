@@ -195,26 +195,21 @@ def optimize_phases(mbs: MbsDevice, subset, n_starts: int = 32, seed: int = 0,
 def _haar_columns(n: int, count: int, rng, columns: int) -> np.ndarray:
     """The first ``columns`` columns of ``count`` Haar n x n unitaries, stacked,
     via Ginibre matrices and a phase-corrected QR; sample i consumes the
-    generator as the i-th ``haar_random_unitary`` call would. The first
-    columns of Q depend only on the first columns of the Ginibre matrix, so
-    only those are factored."""
+    generator as the i-th per-sample draw would, an (n, n) standard normal
+    real part, then the imaginary part. The first columns of Q depend only
+    on the first columns of the Ginibre matrix, so only those are factored."""
     g = rng.standard_normal((count, 2, n, n))[..., :columns]
     q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[:, None, :]
 
 
-def haar_random_unitary(n: int, rng) -> np.ndarray:
-    """Haar-distributed n x n unitary via a Ginibre matrix and phase-corrected QR."""
-    return _haar_columns(n, 1, rng, n)[0]
-
-
 def haar_random_povm(dim: int, n_outcomes: int, rng) -> Povm:
     """Random complete rank-1 POVM from the first ``dim`` columns of a Haar unitary."""
     if n_outcomes < dim:
         raise InvalidInput("need n_outcomes >= dim for completeness")
-    u = haar_random_unitary(n_outcomes, rng)
-    return Povm(gauge_fix_effects(u[:, :dim]))
+    # every column factored, as the per-sample reference draw does, so the two agree bit for bit
+    return Povm(gauge_fix_effects(_haar_columns(n_outcomes, 1, rng, n_outcomes)[0, :, :dim]))
 
 
 def haar_mean_c_norm(dim: int, n_outcomes: int, samples: int, rng,
@@ -225,7 +220,7 @@ def haar_mean_c_norm(dim: int, n_outcomes: int, samples: int, rng,
     leading-coefficient phase gauge is applied; this is the published
     baseline convention for random measurements. Samples are drawn in
     stacks of ``HAAR_BLOCK`` and consume ``rng`` exactly as ``samples``
-    successive :func:`haar_random_unitary` calls would.
+    successive per-sample Ginibre draws and QR factorizations would.
     """
     if samples < 100:
         raise InvalidInput("need at least 100 samples for a stable baseline")

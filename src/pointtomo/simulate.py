@@ -82,6 +82,8 @@ class SweepConfig:
             raise InvalidInput("n_grid must be strictly increasing with entries >= 1")
         if self.repetitions < 1:
             raise InvalidInput("repetitions must be >= 1")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
         check_theta_scalar(self.theta_scalar)
         if self.n_boot != 0 and self.n_boot < 10:
             raise InvalidInput(f"n_boot must be 0 (no bootstrap) or >= 10, got {self.n_boot}")

@@ -73,11 +73,6 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-def fiducial_state(dim: int) -> StateVector:
-    """The target state |0> in dimension ``dim``: the chart at theta = 0."""
-    return neighborhood_state(np.zeros(dim - 1))
-
-
 def chart_amplitudes(theta: np.ndarray) -> np.ndarray:
     """Amplitudes (|0> + sum_j theta_j |j>)/norm, normalized exactly, of each
     row of an (R, d-1) stack of chart parameters.

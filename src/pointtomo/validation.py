@@ -50,7 +50,7 @@ def check_probability_vector(p) -> np.ndarray:
     return np.clip(arr, 0.0, None)
 
 
-def check_counts(counts, n_outcomes: int | None = None) -> np.ndarray:
+def check_counts(counts, n_outcomes: int) -> np.ndarray:
     """Validate an outcome count (or exact frequency) vector.
 
     Real-valued entries are accepted so that exact expected frequencies can
@@ -59,7 +59,7 @@ def check_counts(counts, n_outcomes: int | None = None) -> np.ndarray:
     arr = np.asarray(counts, dtype=float)
     if arr.ndim != 1:
         raise InvalidInput("counts must be one-dimensional")
-    if n_outcomes is not None and arr.size != n_outcomes:
+    if arr.size != n_outcomes:
         raise InvalidInput(f"counts has {arr.size} entries, expected {n_outcomes}")
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise InvalidInput("counts must be nonnegative and finite")

@@ -39,7 +39,7 @@ def test_reference_lookup_validates_subset():
 def test_matrix_text_roundtrip():
     rng = np.random.default_rng(0)
     mat = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    text = format_matrix_text(mat, header=["roundtrip check"])
+    text = "# roundtrip check\n" + format_matrix_text(mat)
     back = parse_matrix_text(text)
     assert np.max(np.abs(back - mat)) < 1e-9
 

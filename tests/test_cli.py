@@ -401,6 +401,42 @@ class TestOtherCommands:
             assert shown.out == "" and "or its sidecar" in shown.err
             assert {path: path.read_bytes() for path in tmp_path.iterdir()} == files
 
+    @pytest.mark.parametrize("plot", ["t.csv", "t.meta.json", "./r.txt", "r.meta.json"])
+    def test_report_plot_over_a_file_of_the_run_is_config_error(self, tmp_path, monkeypatch,
+                                                                 capsys, plot):
+        # the input table, its sidecar, --out and the --out sidecar are all refused
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("simulate", "--theta", "0.01", "--n-grid", "100,1000", "--reps", "2",
+                       "--seed", "8", "--mle-starts", "2", "--out", "t.csv") == 0
+        files = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert run_cli("report", "t.csv", "--out", "r.txt", "--plot", plot) == 2
+        shown = capsys.readouterr()
+        assert shown.out == "" and f"--plot {plot} would overwrite" in shown.err
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == files
+
+    @pytest.mark.parametrize("plot", ["s.csv", "s.meta.json"])
+    def test_simulate_plot_over_its_out_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                                        plot):
+        # refused before the sweep runs: no table, sidecar or plot is written
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("simulate", "--theta", "0.01", "--n-grid", "50", "--seed", "1",
+                       "--mle-starts", "2", "--out", "s.csv", "--plot", plot) == 2
+        assert "--plot" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--theta", "0.01", "--n-grid", "50"),
+        ("bootstrap", "--theta", "0.01", "--n", "100", "--boot", "10"),
+        ("fisher", "--haar-baseline", "1000"),
+        ("design",)])
+    def test_negative_seed_is_a_parse_error(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(*argv, "--seed", "-1", "--out", str(tmp_path / "x.txt"))
+        assert excinfo.value.code == 2
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["fit", "report"])
     def test_one_n_table_is_runtime_error(self, tmp_path, capsys, command):
         # a single ensemble size leaves the power law's slope undetermined

@@ -11,8 +11,7 @@ from pointtomo.povm import Povm
 from pointtomo.simulate import (NoiseConfig, SweepConfig, bootstrap_infidelity, prepared_state,
                                 sample_counts, trial_rng)
 from pointtomo.states import (born_probabilities, depolarize, equal_deviation_state,
-                              fidelity, fiducial_state, neighborhood_state,
-                              pure_probabilities)
+                              fidelity, neighborhood_state, pure_probabilities)
 
 TIGHT = MleConfig(starts=16, tolerance=1e-13)
 
@@ -373,7 +372,7 @@ class TestBootstrap:
         assert spreads[100_000] < spreads[100]
 
     def test_degenerate_counts_flagged(self, family_povm):
-        rho = depolarize(fiducial_state(4), 1.0)
+        rho = depolarize(neighborhood_state(np.zeros(3)), 1.0)
         counts = np.zeros(7)
         counts[0] = 50
         res = bootstrap_infidelity(counts, family_povm, rho, 25, np.random.default_rng(0))
@@ -450,12 +449,12 @@ class TestBootstrap:
                                     np.random.default_rng(34)) == whole
 
     def test_minimum_replicas(self, family_povm):
-        rho = depolarize(fiducial_state(4), 1.0)
+        rho = depolarize(neighborhood_state(np.zeros(3)), 1.0)
         with pytest.raises(InvalidInput):
             bootstrap_infidelity(np.ones(7), family_povm, rho, 9, np.random.default_rng(0))
 
     def test_counts_below_one_copy_rejected(self, family_povm):
-        rho = depolarize(fiducial_state(4), 1.0)
+        rho = depolarize(neighborhood_state(np.zeros(3)), 1.0)
         with pytest.raises(InvalidInput):
             bootstrap_infidelity(np.array([0.2, 0.2, 0, 0, 0, 0, 0]), family_povm, rho, 10,
                                  np.random.default_rng(0))

@@ -5,8 +5,7 @@ from conftest import disk_theta
 from pointtomo.errors import ConsistencyError, InvalidInput
 from pointtomo.fisher import (FisherBlocks, asymptotic_infidelity_coefficient,
                               c_matrix, c_norm, cfim_first_order, cfim_numeric,
-                              gill_massar_wmse, gm_inequality_lhs, gm_optimal_cfim,
-                              gm_optimal_wmse, qfim_pure)
+                              gill_massar_wmse, gm_inequality_lhs, qfim_pure)
 from pointtomo.povm import haar_random_povm
 from pointtomo.states import neighborhood_state
 
@@ -159,14 +158,6 @@ class TestGillMassar:
                 val = gm_inequality_lhs(cfim_numeric(povm, theta, step=1e-6),
                                         qfim_pure(theta))
                 assert val <= 3.0 + 1e-9
-
-    def test_general_weight_reduces_at_infidelity_weighting(self):
-        theta = np.array([0.05, -0.02j, 0.01])
-        qfim = qfim_pure(theta)
-        weight = qfim.assembled() / 4.0
-        assert gm_optimal_wmse(qfim, weight, 50) == pytest.approx(3 / 50, rel=1e-10)
-        opt = gm_optimal_cfim(qfim, weight)
-        assert np.max(np.abs(opt - qfim.assembled() / 2.0)) < 1e-10
 
 
 class TestCMatrix:

@@ -12,7 +12,7 @@ from pointtomo.simulate import (NoiseConfig, SweepConfig, bootstrap_infidelity,
                                 expected_infidelity_floor, perturb_effects, prepared_state,
                                 run_sweep, sample_counts, trial_rng)
 from pointtomo.states import (DensityMatrix, born_probabilities, depolarize,
-                              equal_deviation_state, fidelity, fiducial_state)
+                              equal_deviation_state, fidelity, neighborhood_state)
 
 
 def run_trial(rho, povm, cfg, i, t):
@@ -144,10 +144,16 @@ class TestTruthInsideChart:
         assert SweepConfig(theta_scalar=theta, n_grid=(100,), repetitions=1).theta_scalar == theta
 
 
+def test_config_rejects_a_negative_seed():
+    # numpy's seed sequences take integers >= 0: refused here, not in every trial
+    with pytest.raises(InvalidInput, match="seed must be >= 0"):
+        SweepConfig(theta_scalar=0.01, n_grid=(100,), repetitions=1, seed=-1)
+
+
 class TestRunTrial:
     def test_noiseless_fiducial_large_ensemble(self, family_povm):
         cfg = SweepConfig(theta_scalar=0.0, n_grid=(100_000,), repetitions=1, seed=5)
-        rho = depolarize(fiducial_state(4), 1.0)
+        rho = depolarize(neighborhood_state(np.zeros(3)), 1.0)
         counts, _, infidelity, _ = run_trial(rho, family_povm, cfg, 0, 0)
         assert counts.sum() == 100_000
         assert infidelity < 1e-3

@@ -3,8 +3,8 @@ import pytest
 
 from pointtomo.errors import InvalidInput
 from pointtomo.states import (DensityMatrix, StateVector, born_probabilities, chart_amplitudes,
-                              depolarize, equal_deviation_state, fiducial_state, fidelities,
-                              fidelity, neighborhood_state, pure_probabilities)
+                              depolarize, equal_deviation_state, fidelities, fidelity,
+                              neighborhood_state, pure_probabilities)
 
 
 class TestNeighborhoodState:
@@ -59,21 +59,21 @@ class TestDepolarize:
         assert np.allclose(rho.mat, psi.projector(), atol=1e-15)
 
     def test_fully_mixed(self):
-        rho = depolarize(fiducial_state(4), 0.0)
+        rho = depolarize(neighborhood_state(np.zeros(3)), 0.0)
         assert np.allclose(rho.mat, np.eye(4) / 4, atol=1e-15)
 
     def test_diagonal_closed_form(self):
         lam = 0.987
-        rho = depolarize(fiducial_state(4), lam)
+        rho = depolarize(neighborhood_state(np.zeros(3)), lam)
         diag = np.diag(rho.mat).real
         assert diag[0] == pytest.approx(lam + (1 - lam) / 4, abs=1e-15)
         assert np.allclose(diag[1:], (1 - lam) / 4, atol=1e-15)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidInput):
-            depolarize(fiducial_state(4), 1.0 + 1e-9)
+            depolarize(neighborhood_state(np.zeros(3)), 1.0 + 1e-9)
         with pytest.raises(InvalidInput):
-            depolarize(fiducial_state(4), -0.01)
+            depolarize(neighborhood_state(np.zeros(3)), -0.01)
 
     def test_invariants_hold_for_random_draws(self):
         rng = np.random.default_rng(1)
@@ -89,17 +89,18 @@ class TestFidelity:
         assert fidelity(psi, DensityMatrix(psi.projector())) == pytest.approx(1.0, abs=1e-14)
 
     def test_orthogonal_case(self):
-        psi = fiducial_state(4)
+        psi = neighborhood_state(np.zeros(3))
         other = StateVector(np.array([0, 1, 0, 0], dtype=complex))
         assert fidelity(psi, DensityMatrix(other.projector())) == pytest.approx(0.0, abs=1e-14)
 
     def test_depolarized_fiducial(self):
-        psi = fiducial_state(4)
+        psi = neighborhood_state(np.zeros(3))
         assert fidelity(psi, depolarize(psi, 0.987)) == pytest.approx(0.99025, abs=1e-14)
 
     def test_dimension_mismatch(self):
+        rho = depolarize(neighborhood_state(np.zeros(3)), 0.5)
         with pytest.raises(InvalidInput):
-            fidelity(fiducial_state(3), depolarize(fiducial_state(4), 0.5))
+            fidelity(neighborhood_state(np.zeros(2)), rho)
 
     def test_depolarized_closed_form_property(self):
         rng = np.random.default_rng(2)
@@ -157,20 +158,20 @@ class TestStackedForms:
     def test_empty_stack(self):
         amps = chart_amplitudes(np.empty((0, 3), dtype=complex))
         assert amps.shape == (0, 4)
-        assert fidelities(amps, depolarize(fiducial_state(4), 0.5)).shape == (0,)
+        assert fidelities(amps, depolarize(neighborhood_state(np.zeros(3)), 0.5)).shape == (0,)
 
     def test_fiducial_is_the_chart_origin(self):
-        assert np.array_equal(fiducial_state(4).amps, [1, 0, 0, 0])
+        assert np.array_equal(neighborhood_state(np.zeros(3)).amps, [1, 0, 0, 0])
         assert np.array_equal(chart_amplitudes(np.zeros((1, 3)))[0], [1, 0, 0, 0])
 
 
 class TestBornProbabilities:
     def test_basis_on_fiducial(self, basis_povm):
-        p = born_probabilities(basis_povm, depolarize(fiducial_state(4), 1.0))
+        p = born_probabilities(basis_povm, depolarize(neighborhood_state(np.zeros(3)), 1.0))
         assert np.allclose(p, [1, 0, 0, 0], atol=1e-15)
 
     def test_maximally_mixed_completeness_trace(self, family_povm):
-        p = born_probabilities(family_povm, depolarize(fiducial_state(4), 0.0))
+        p = born_probabilities(family_povm, depolarize(neighborhood_state(np.zeros(3)), 0.0))
         expected = np.sum(np.abs(family_povm.effects) ** 2, axis=1) / 4
         assert np.allclose(p, expected, atol=1e-14)
         assert p.sum() == pytest.approx(1.0, abs=1e-10)
@@ -186,7 +187,7 @@ class TestBornProbabilities:
 
     def test_dimension_mismatch(self, family_povm):
         with pytest.raises(InvalidInput):
-            born_probabilities(family_povm, depolarize(fiducial_state(3), 0.5))
+            born_probabilities(family_povm, depolarize(neighborhood_state(np.zeros(2)), 0.5))
 
     def test_pure_probabilities_of_a_stack_match_each_row(self, family_povm):
         rng = np.random.default_rng(8)
@@ -235,6 +236,6 @@ class TestTypeInvariants:
             DensityMatrix(np.eye(4, dtype=complex))
 
     def test_immutability(self):
-        psi = fiducial_state(4)
+        psi = neighborhood_state(np.zeros(3))
         with pytest.raises(ValueError):
             psi.amps[0] = 0.0
