@@ -58,15 +58,21 @@ def _sidecar(path: str) -> str:
 
 
 def _check_paths(args) -> None:
-    """Refuse a run that would write ``--out``, its sidecar or ``--plot`` over
-    one another, the input table or the input's sidecar."""
+    """Refuse a run that would write ``--out``, its sidecar or ``--plot`` into a
+    missing directory or over one another, the input table, the input's
+    sidecar or a ``--device`` file (``u7`` names the builtin matrix, no file)."""
     taken = {}                            # real path -> the input or --out it belongs to
-    for flag in ("infile", "out", "plot"):
-        if path := vars(args).get(flag):
-            own = {os.path.realpath(p) for p in (path, path if flag == "plot" else _sidecar(path))}
-            if hit := own & taken.keys():
-                raise InvalidInput(f"--{flag} {path} would overwrite {taken[hit.pop()]} or its sidecar")
-            taken.update(dict.fromkeys(own, path))
+    for flag in ("device", "infile", "out", "plot"):
+        path = vars(args).get(flag)
+        if not path or flag == "device" and path == "u7":
+            continue
+        if flag in ("out", "plot") and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise InvalidInput(f"--{flag} {path}: no such directory")
+        paired = flag in ("infile", "out")
+        own = {os.path.realpath(p) for p in (path, _sidecar(path) if paired else path)}
+        if hit := own & taken.keys():
+            raise InvalidInput(f"--{flag} {path} would overwrite {taken[hit.pop()]} or its sidecar")
+        taken.update(dict.fromkeys(own, path))
 
 
 def _write_run(args, text: str, extra: dict | None = None, unhashed: tuple = (),

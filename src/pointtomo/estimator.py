@@ -34,24 +34,22 @@ import numpy as np
 
 from .errors import DegenerateInput, InvalidInput
 from .fisher import PROBABILITY_FLOOR
-from .states import StateVector, chart_amplitudes, neighborhood_state, pure_probabilities
+from .states import StateVector, chart_amplitudes, pure_probabilities
 from .validation import check_counts
 
 @dataclass(frozen=True)
 class MleConfig:
     """Optimizer settings for :func:`estimate_state`."""
 
-    tolerance: float = 1e-10          # max-abs projected gradient at convergence
     starts: int = 8                   # random starts if the fixed two disagree or hit the bound
 
+    tolerance: ClassVar[float] = 1e-10    # max-abs projected gradient at convergence
     max_iterations: ClassVar[int] = 100
     start_radius: ClassVar[float] = 0.3   # |theta_j| bound for random starts
     chart_bound: ClassVar[float] = 0.6    # box bound on Re/Im of each theta_j
     seed: ClassVar[int] = 0               # start draws are a function of the config only
 
     def __post_init__(self):
-        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
-            raise InvalidInput(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.starts < 1:
             raise InvalidInput("starts must be >= 1")
 
@@ -64,7 +62,7 @@ class MleResult:
     n_tied: int
     converged: bool                   # projected-gradient test of the returned start
     at_bound: bool                    # some |Re/Im theta_j| on the chart bound
-    state: StateVector                # neighborhood_state(theta)
+    state: StateVector                # the chart amplitudes of theta
 
 
 @dataclass(frozen=True)
@@ -249,8 +247,9 @@ def on_chart_bound(x: np.ndarray) -> np.ndarray:
 
 def _estimate_rows(effects: np.ndarray, counts: np.ndarray, cfg: MleConfig) -> tuple:
     """Estimates of an (R, K) stack of validated counts, as arrays in
-    :class:`MleResult`'s field order without ``state``: theta (R, d-1),
-    log-likelihood, candidates, tied candidates, converged and at-bound.
+    :class:`MleResult`'s field order: theta (R, d-1), log-likelihood,
+    candidates, tied candidates, converged, at-bound and the state's
+    amplitudes (R, d).
 
     The two fixed starts of every row descend as one batch. The rows whose
     fixed starts end at different optima or on the chart bound then get
@@ -268,7 +267,7 @@ def _estimate_rows(effects: np.ndarray, counts: np.ndarray, cfg: MleConfig) -> t
     f, x, ok = np.full(shape, np.inf), np.zeros(shape + (2 * m,)), np.zeros(shape, dtype=bool)
 
     def tie_tol(best):
-        return 50.0 * max(cfg.tolerance, 1e-14) * np.maximum(1.0, np.abs(best))
+        return 50.0 * cfg.tolerance * np.maximum(1.0, np.abs(best))
 
     linearized = np.clip(_linearized_theta(effects, weights), -bound, bound)
     x0 = np.stack([np.zeros_like(linearized), linearized], axis=1).reshape(-1, 2 * m)
@@ -293,10 +292,11 @@ def _estimate_rows(effects: np.ndarray, counts: np.ndarray, cfg: MleConfig) -> t
     pick = (np.arange(len(f)), np.where(tied, norm2, np.inf).argmin(axis=1))
     x_star = x[pick]
     theta = x_star[:, :m] + 1j * x_star[:, m:]
-    p = pure_probabilities(effects, chart_amplitudes(theta))
+    amps = chart_amplitudes(theta)
+    p = pure_probabilities(effects, amps)
     loglik = (counts * np.log(np.maximum(p, PROBABILITY_FLOOR))).sum(axis=1)
     return (theta, loglik, 2 + cfg.starts * retry, tied.sum(axis=1), ok[pick],
-            on_chart_bound(x_star))
+            on_chart_bound(x_star), amps)
 
 
 def estimate_theta(counts, povm, cfg: MleConfig = MleConfig()) -> MleResult:
@@ -306,8 +306,8 @@ def estimate_theta(counts, povm, cfg: MleConfig = MleConfig()) -> MleResult:
     is deterministic given (cfg, counts).
     """
     counts = check_counts(counts, povm.effects.shape[0])
-    theta, *fields = (a[0] for a in _estimate_rows(povm.effects, counts[None, :], cfg))
-    return MleResult(theta, *(a.item() for a in fields), state=neighborhood_state(theta))
+    theta, *fields, amps = (a[0] for a in _estimate_rows(povm.effects, counts[None, :], cfg))
+    return MleResult(theta, *(a.item() for a in fields), StateVector(amps))
 
 
 def estimate_state(counts, povm, cfg: MleConfig = MleConfig()) -> StateVector:

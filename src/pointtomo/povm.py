@@ -69,7 +69,6 @@ class MbsDevice:
 
     u: np.ndarray
     unitarity_deviation: float
-    reunitarized: bool = False
     replacement_distance: float = 0.0
 
     @property
@@ -90,8 +89,7 @@ def load_mbs(matrix, reunitarize: bool = True) -> MbsDevice:
         return MbsDevice(u=u, unitarity_deviation=deviation)
     w = a @ vh
     distance = float(np.linalg.norm(u - w, 2))
-    return MbsDevice(u=w, unitarity_deviation=deviation, reunitarized=True,
-                     replacement_distance=distance)
+    return MbsDevice(u=w, unitarity_deviation=deviation, replacement_distance=distance)
 
 
 def load_device(spec: str) -> MbsDevice:

@@ -29,8 +29,8 @@ import numpy as np
 from .errors import InvalidInput, SweepError
 from .estimator import MleConfig, _estimate_rows, estimate_state, on_chart_bound
 from .povm import Povm, gauge_fix_effects
-from .states import (DensityMatrix, born_probabilities, chart_amplitudes, depolarize,
-                     equal_deviation_state, fidelities, fidelity)
+from .states import (DensityMatrix, born_probabilities, depolarize, equal_deviation_state,
+                     fidelities, fidelity)
 from .validation import check_counts, check_in_range, check_probability_vector
 
 # Rows estimated per batch: sets the trials per sweep group and bounds the
@@ -38,8 +38,8 @@ from .validation import check_counts, check_in_range, check_probability_vector
 # Rows are independent, so the block size does not change any estimate.
 _REPLICA_BLOCK = 256
 
-# The outcome counts of a run's estimates, in the column order of _trials' counts:
-# point estimates, then bootstrap replicas, on the chart bound and unconverged.
+# The outcome counts of a run's estimates, the keys of _trials' tally: point
+# estimates, then bootstrap replicas, on the chart bound and unconverged.
 OUTCOMES = ("estimates_at_bound", "estimates_not_converged", "replicas_at_bound",
             "replicas_not_converged")
 
@@ -97,7 +97,6 @@ class BootstrapResult:
     median: float
     q75: float
     high: float
-    n_boot: int
     degenerate: bool
     outcomes: dict                    # OUTCOMES -> count, of the point estimate and replicas
 
@@ -107,14 +106,14 @@ class BootstrapResult:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """All trial rows of a sweep; ``partial`` marks an aborted sweep.
+    """All trial rows of a sweep; an aborted sweep's finished rows travel
+    in its :class:`SweepError`'s ``partial``.
 
     ``outcomes`` sums the :data:`OUTCOMES` of every trial's point estimate
     and bootstrap replicas; it is not part of the table.
     """
 
     rows: tuple                       # (n, trial, infidelity, boot_low, q25, median, q75, boot_high)
-    partial: bool
     outcomes: dict
     workers: int                      # processes the sweep ran on
 
@@ -145,8 +144,6 @@ def sample_counts(probs, n: int, rng) -> np.ndarray:
     n = int(n)
     if n < 0:
         raise InvalidInput("ensemble size must be >= 0")
-    if n == 0:
-        return np.zeros(probs.size, dtype=np.int64)
     return rng.multinomial(n, probs / probs.sum())
 
 
@@ -160,7 +157,7 @@ def perturb_effects(povm: Povm, epsilon: float, rng) -> Povm:
     ``simulate --epsilon`` draws it from the master seed's root stream.
     """
     if not (np.isfinite(epsilon) and epsilon >= 0):
-        raise InvalidInput(f"systematic_epsilon must be finite and >= 0, got {epsilon}")
+        raise InvalidInput(f"epsilon must be finite and >= 0, got {epsilon}")
     if epsilon == 0:
         return povm
     d = povm.dim
@@ -192,10 +189,10 @@ def _trials(state: DensityMatrix, povm: Povm, draws: list, mle: MleConfig,
     estimated once and not resampled, and the point estimate stands in for
     their replicas.
 
-    Returns per trial: the point estimate's infidelity against ``state``
-    (T,); the replica infidelities' (low, q25, median, q75, high) (T, 5),
-    None without a bootstrap; and (T, 5) counts: the four :data:`OUTCOMES`,
-    then the number of replicas.
+    Returns per trial the point estimate's infidelity against ``state``
+    (T,) and the replica infidelities' (low, q25, median, q75, high) (T, 5),
+    None without a bootstrap; and the tally of all trials, the
+    :data:`OUTCOMES` keyed by name.
     """
     rows = []
     for counts, boot_rng in draws:
@@ -206,18 +203,17 @@ def _trials(state: DensityMatrix, povm: Povm, draws: list, mle: MleConfig,
     stack = np.concatenate(rows)
     blocks = [_estimate_rows(povm.effects, stack[start:start + _REPLICA_BLOCK], mle)
               for start in range(0, len(stack), _REPLICA_BLOCK)]
-    theta, _, _, _, converged, at_bound = (np.concatenate(a) for a in zip(*blocks))
-    values = 1.0 - fidelities(chart_amplitudes(theta), state)
+    *_, converged, at_bound, amps = (np.concatenate(a) for a in zip(*blocks))
+    values = 1.0 - fidelities(amps, state)
     sizes = np.array([len(own) for own in rows])
-    point, replicas = np.cumsum(sizes) - sizes, sizes - 1
-    has = (replicas > 0)[:, None]
-    own = np.where(has, point[:, None] + 1 + np.arange(n_boot), point[:, None])
-    outcomes = np.column_stack([at_bound[point], ~converged[point], (at_bound[own] & has).sum(1),
-                                (~converged[own] & has).sum(1), replicas])
-    boot = values[own]
-    spread = np.column_stack([boot.min(axis=1), *np.quantile(boot, [0.25, 0.5, 0.75], axis=1),
-                              boot.max(axis=1)]) if n_boot else None
-    return values[point], spread, outcomes
+    point = np.cumsum(sizes) - sizes
+    replica = np.ones(len(stack), dtype=bool)
+    replica[point] = False
+    tally = dict(zip(OUTCOMES, [int(np.count_nonzero(flag[rows])) for rows in (point, replica)
+                                for flag in (at_bound, ~converged)]))
+    own = point[:, None] + (sizes[:, None] > 1) * (1 + np.arange(n_boot))
+    spread = np.quantile(values[own], [0, 0.25, 0.5, 0.75, 1], axis=1).T if n_boot else None
+    return values[point], spread, tally
 
 
 def bootstrap_infidelity(counts, povm, reference, n_boot: int, rng,
@@ -237,9 +233,8 @@ def bootstrap_infidelity(counts, povm, reference, n_boot: int, rng,
     if n_boot < 10:
         raise InvalidInput("need n_boot >= 10")
     counts = check_counts(counts, povm.n_outcomes)
-    _, spread, outcomes = _trials(reference, povm, [(counts, rng)], cfg, n_boot)
-    *tally, replicas = outcomes[0].tolist()
-    return BootstrapResult(*spread[0].tolist(), n_boot, not replicas, dict(zip(OUTCOMES, tally)))
+    _, spread, tally = _trials(reference, povm, [(counts, rng)], cfg, n_boot)
+    return BootstrapResult(*spread[0].tolist(), bool(np.count_nonzero(counts) <= 1), tally)
 
 
 def prepared_state(cfg: SweepConfig, dim: int) -> DensityMatrix:
@@ -268,8 +263,8 @@ def run_sweep(cfg: SweepConfig, povm: Povm, workers: int = 1) -> SweepResult:
     table rows and the outcome counts are built here from each group's
     arrays. The result is deterministic given (config, seed) and independent
     of ``workers``. Any trial error aborts with a :class:`SweepError` naming
-    the failing group's N values and carrying the partial result, flagged as
-    such: the rows of the groups finished before the failing one.
+    the failing group's N values and carrying the partial result: the rows
+    of the groups finished before the failing one.
     """
     if workers < 1:
         raise InvalidInput(f"workers must be >= 1, got {workers}")
@@ -284,19 +279,18 @@ def run_sweep(cfg: SweepConfig, povm: Povm, workers: int = 1) -> SweepResult:
     try:
         with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
             # the built POVM and state travel to the workers with each group, unvalidated
-            for values, spread, counts in (pool.map if pool else map)(
+            for values, spread, tally in (pool.map if pool else map)(
                     partial(_sweep_rows, povm, rho, cfg), groups):
                 boots = spread.tolist() if cfg.n_boot else [[np.nan] * 5] * len(values)
                 rows += [(float(n), float(t), value, *boot) for (_, n, t), value, boot
                          in zip(groups[done], values.tolist(), boots)]
-                for name, total in zip(OUTCOMES, counts[:, :4].sum(axis=0).tolist()):
-                    outcomes[name] += total
+                outcomes = {name: outcomes[name] + tally[name] for name in OUTCOMES}
                 done += 1
     except Exception as exc:
         failed = ", ".join(map(str, sorted({n for _, n, _ in groups[done]})))
         raise SweepError(f"sweep aborted: trials with N={failed} failed: {exc}",
-                         partial=SweepResult(tuple(rows), True, outcomes, workers)) from exc
-    return SweepResult(tuple(rows), False, outcomes, workers)
+                         partial=SweepResult(tuple(rows), outcomes, workers)) from exc
+    return SweepResult(tuple(rows), outcomes, workers)
 
 
 def expected_infidelity_floor(rho: DensityMatrix, povm: Povm) -> float:

@@ -67,6 +67,14 @@ def fsm_povm():
     return Povm(gauge_fix_effects(np.array(rows)))
 
 
+def dft_columns(n: int, d: int) -> np.ndarray:
+    """The first d columns of the n-point DFT, omega^(eta j) / sqrt(n) with
+    omega = exp(2 pi i / n). At n = 2d - 1 the rows are a Fisher-symmetric
+    rank-1 POVM: C_jk is a sum of omega^(eta (j + k)) over eta, and
+    2 <= j + k <= 2d - 2 < n, so C = 0."""
+    return np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(d)) / n) / np.sqrt(n)
+
+
 def disk_theta(rng, m: int, radius: float) -> np.ndarray:
     """Uniform draw from the per-component complex disk of given radius."""
     r = radius * np.sqrt(rng.uniform(0.0, 1.0, m))

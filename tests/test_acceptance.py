@@ -179,7 +179,7 @@ def test_criterion_10_plateau_reproduction(family_povm):
 
 def test_criterion_11_estimator_consistency(family_povm):
     rng = np.random.default_rng(777)
-    cfg = MleConfig(starts=16, tolerance=1e-13)
+    cfg = MleConfig(starts=16)
     worst = 0.0
     for _ in range(100):
         theta = disk_theta(rng, 3, 0.3)

@@ -5,7 +5,8 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from pointtomo.assets import U7_NAME, asset_text
+from conftest import dft_columns
+from pointtomo.assets import U7_NAME, asset_text, format_matrix_text
 from pointtomo import cli
 from pointtomo.cli import main
 from pointtomo.fisher import asymptotic_infidelity_coefficient
@@ -233,8 +234,14 @@ class TestSimulateCommand:
         out = tmp_path / "s.csv"
         assert run_cli("simulate", "--theta", "0.01", "--n-grid", "1000", "--reps", "2",
                        "--seed", "3", "--epsilon", epsilon, "--out", str(out)) == 2
-        assert "systematic_epsilon" in capsys.readouterr().err
+        assert "epsilon must be finite and >= 0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_negative_epsilon_message_names_the_flag(self, capsys):
+        assert run_cli("simulate", "--theta", "0.01", "--n-grid", "100", "--seed", "3",
+                       "--epsilon", "-1") == 2
+        assert capsys.readouterr().err == \
+            "configuration error: epsilon must be finite and >= 0, got -1.0\n"
 
     def test_plot_output(self, tmp_path):
         out, svg = tmp_path / "s.csv", tmp_path / "s.svg"
@@ -292,6 +299,22 @@ class TestOtherCommands:
         device.write_text("\n".join(" ".join(f"{v:+.17f}+0j" for v in row) for row in rows) + "\n")
         assert run_cli("design", "--device", str(device), "--dim", "2") == 1
         assert "(1, 2)" in capsys.readouterr().err
+
+    def test_dft_device_family_is_fisher_symmetric(self, tmp_path, capsys):
+        # ports 1-4 of the 7-port DFT device measure a^eta_j = omega^(eta j) / sqrt(7):
+        # C = 0 and the limit coefficient d - 1 = 3 from 2d - 1 = 7 outcomes
+        device = tmp_path / "dft7.txt"
+        device.write_text(format_matrix_text(dft_columns(7, 7).conj()))
+        assert run_cli("fisher", "--device", str(device), "--subset", "1,2,3,4") == 0
+        out = capsys.readouterr().out
+        assert "spectral norm of C: 0.000000\n" in out
+        assert "asymptotic infidelity coefficient: 3.000000\n" in out
+        # 15 of the 35 families tie at C = 0: the winner is one of them
+        assert run_cli("design", "--device", str(device)) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]
+                if not line.startswith("#")]
+        (winner,) = [row for row in rows if row[-1] == "1"]
+        assert winner[1] == winner[2] == "0.000000"
 
     def test_device_file_is_projected_like_the_builtin(self, tmp_path, capsys):
         device = tmp_path / "u7.txt"
@@ -423,6 +446,43 @@ class TestOtherCommands:
         assert run_cli("simulate", "--theta", "0.01", "--n-grid", "50", "--seed", "1",
                        "--mle-starts", "2", "--out", "s.csv", "--plot", plot) == 2
         assert "--plot" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("fisher", "--out", "dev.txt"),
+        ("design", "--out", "dev.txt"),
+        ("bootstrap", "--theta", "0.01", "--n", "100", "--boot", "10", "--seed", "1",
+         "--out", "./dev.txt"),
+        ("simulate", "--theta", "0.01", "--n-grid", "50", "--seed", "1", "--plot", "dev.txt")])
+    def test_output_over_the_device_file_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                                          argv):
+        monkeypatch.chdir(tmp_path)
+        device = tmp_path / "dev.txt"
+        device.write_text(asset_text(U7_NAME))
+        files = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        assert run_cli(*argv, "--device", "dev.txt") == 2
+        shown = capsys.readouterr()
+        assert shown.out == "" and "would overwrite dev.txt" in shown.err
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == files
+
+    def test_builtin_device_name_is_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("fisher", "--device", "u7", "--out", "u7") == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["u7", "u7.meta.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ("fisher", "--out", "nodir/x.txt"),
+        ("simulate", "--theta", "0.01", "--n-grid", "100", "--seed", "1", "--out", "nodir/s.csv"),
+        ("simulate", "--theta", "0.01", "--n-grid", "100", "--seed", "1", "--out", "s.csv",
+         "--plot", "nodir/s.svg")])
+    def test_missing_output_directory_is_config_error_before_the_run(
+            self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_sweep", None)     # the sweep must not start
+        assert run_cli(*argv) == 2
+        shown = capsys.readouterr()
+        assert shown.out == "" and f"{argv[-2]} {argv[-1]}: no such directory" in shown.err
+        assert ".tmp" not in shown.err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [

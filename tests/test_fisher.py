@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import disk_theta
+from conftest import dft_columns, disk_theta
 from pointtomo.errors import ConsistencyError, InvalidInput
 from pointtomo.fisher import (FisherBlocks, asymptotic_infidelity_coefficient,
                               c_matrix, c_norm, cfim_first_order, cfim_numeric,
                               gill_massar_wmse, gm_inequality_lhs, qfim_pure)
-from pointtomo.povm import haar_random_povm
+from pointtomo.povm import Povm, haar_random_povm
 from pointtomo.states import neighborhood_state
 
 
@@ -211,7 +211,17 @@ class TestFisherBlocks:
 
 class TestAsymptoticCoefficient:
     def test_fisher_symmetric_reaches_limit(self, fsm_povm):
+        # the quartet construction takes 4d - 3 = 13 outcomes at d = 4
+        assert fsm_povm.n_outcomes == 13
         assert asymptotic_infidelity_coefficient(fsm_povm) == pytest.approx(3.0, abs=1e-10)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 8])
+    def test_dft_rows_reach_the_limit_with_2d_minus_1_outcomes(self, d):
+        povm = Povm(dft_columns(2 * d - 1, d))
+        assert povm.n_outcomes == 2 * d - 1
+        assert povm.completeness_deviation <= 1e-12
+        assert np.max(np.abs(c_matrix(povm))) <= 1e-12
+        assert asymptotic_infidelity_coefficient(povm) == d - 1
 
     def test_matches_inverse_information_route(self, family_povm):
         # independent route: half the trace of the inverse assembled CFIM
