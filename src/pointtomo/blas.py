@@ -1,10 +1,13 @@
-"""One BLAS thread per process.
+"""One BLAS thread per process, and the cores the process may use.
 
 Every matrix in this package is at most 7x7, where OpenBLAS worker threads
 never help: they spin beside the main thread, which doubles the CPU time of
 a serial run, and a process pool forked from it oversubscribes the cores.
 Importing :mod:`pointtomo` therefore caps the OpenBLAS bundled with the
-numpy wheel to one thread through its exported setter. Where the library or
+numpy wheel to one thread through its exported setter. The cap is global to
+the process, so each thread of the Haar baseline's pool
+(:func:`pointtomo.povm.haar_mean_c_norm`) calls the one-thread OpenBLAS too,
+and the pool's threads do not spin on each other. Where the library or
 a symbol is missing (another BLAS, another wheel layout) the cap does
 nothing, and :func:`blas_threads` reports what it found. Other libraries'
 BLAS copies are left alone: the package calls only numpy's.
@@ -35,6 +38,15 @@ def _thread_functions():
         getter.argtypes, getter.restype = [], ctypes.c_int
         setter.argtypes, setter.restype = [ctypes.c_int], None
         yield getter, setter
+
+
+def available_cores() -> int:
+    """The cores this process may run on: its affinity mask where the platform
+    has one, else ``os.cpu_count()``, and at least 1."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except AttributeError:                   # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def limit_blas_threads() -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .assets import format_matrix_text
-from .blas import blas_threads
+from .blas import available_cores, blas_threads
 from .errors import InvalidInput, PointTomoError
 from .estimator import MleConfig, fit_power_law
 from .fisher import (NORM_KINDS, asymptotic_infidelity_coefficient, c_matrix, c_norm,
@@ -25,7 +25,7 @@ from .fisher import (NORM_KINDS, asymptotic_infidelity_coefficient, c_matrix, c_
 from .io import atomic_write_text, config_hash, read_sweep_table, sweep_table_text
 from .plotting import sweep_plot_svg
 from .povm import (effects_from_family, enumerate_families, haar_mean_c_norm,
-                   load_device, optimize_phases)
+                   haar_workers, load_device, optimize_phases)
 from .simulate import (NoiseConfig, SweepConfig, bootstrap_infidelity, check_theta_scalar,
                        expected_infidelity_floor, perturb_effects, prepared_state, run_sweep,
                        sample_counts, trial_rng)
@@ -59,15 +59,19 @@ def _sidecar(path: str) -> str:
 
 def _check_paths(args) -> None:
     """Refuse a run that would write ``--out``, its sidecar or ``--plot`` into a
-    missing directory or over one another, the input table, the input's
-    sidecar or a ``--device`` file (``u7`` names the builtin matrix, no file)."""
+    missing directory, over a directory or over one another, the input table,
+    the input's sidecar or a ``--device`` file (``u7`` names the builtin
+    matrix, no file)."""
     taken = {}                            # real path -> the input or --out it belongs to
     for flag in ("device", "infile", "out", "plot"):
         path = vars(args).get(flag)
         if not path or flag == "device" and path == "u7":
             continue
-        if flag in ("out", "plot") and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-            raise InvalidInput(f"--{flag} {path}: no such directory")
+        if flag in ("out", "plot"):
+            if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+                raise InvalidInput(f"--{flag} {path}: no such directory")
+            if os.path.isdir(path):
+                raise InvalidInput(f"--{flag} {path}: is a directory")
         paired = flag in ("infile", "out")
         own = {os.path.realpath(p) for p in (path, _sidecar(path) if paired else path)}
         if hit := own & taken.keys():
@@ -155,15 +159,19 @@ def cmd_fisher(args) -> int:
            "QFIM diagonal block at the fiducial point:\n" + format_matrix_text(qfim.diag_block),
            "QFIM off block at the fiducial point:\n" + format_matrix_text(qfim.off_block),
            f"tr(I J^-1): {gm_inequality_lhs(cfim, qfim):.12f} (bound {povm.dim - 1})"]
+    extra = {}
     if args.haar_baseline:
         rng = np.random.default_rng(args.seed)
+        start = time.perf_counter()
         mean, err = haar_mean_c_norm(povm.dim, povm.n_outcomes, args.haar_baseline, rng,
                                      kind=args.norm)
+        extra = {"workers": haar_workers(args.haar_baseline),
+                 "stage_s": {"haar": time.perf_counter() - start}}
         out.append(f"Haar baseline <||C||> over {args.haar_baseline} samples: "
                    f"{mean:.4f} +/- {err:.4f}")
     text = "\n".join(out) + "\n"
     sys.stdout.write(text)
-    _write_run(args, text)
+    _write_run(args, text, extra=extra)
     return 0
 
 
@@ -298,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", type=_parse_ints, required=True,
                    help="comma separated ensemble sizes, increasing")
     p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+    p.add_argument("--workers", type=int, default=available_cores(),
                    help="parallel trial workers (default: available cores)")
     p.add_argument("--out")
     p.add_argument("--plot")

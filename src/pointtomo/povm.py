@@ -14,19 +14,23 @@ nonnegative.
 from __future__ import annotations
 
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
 from .assets import load_matrix, seven_port_matrix
+from .blas import available_cores
 from .errors import DegenerateInput, InvalidInput
 from .fisher import COMPLETENESS_TOL, _c_gram, _norm_ord, matrix_norm
 from .validation import check_square_matrix
 
 GAUGE_FLOOR = 1e-12
-# Haar samples per stacked QR: larger stacks raise peak memory, and barely the speed
-HAAR_BLOCK = 128
+# Haar samples per stacked QR, and per task of the baseline's thread pool; it divides
+# none of 100, 1,000 and 10,000, so the last block of those sample counts is partial
+HAAR_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -190,13 +194,18 @@ def optimize_phases(mbs: MbsDevice, subset, n_starts: int = 32, seed: int = 0,
     return np.zeros(povm.dim), matrix_norm(_c_gram(povm.effects), norm_kind)
 
 
-def _haar_columns(n: int, count: int, rng, columns: int) -> np.ndarray:
-    """The first ``columns`` columns of ``count`` Haar n x n unitaries, stacked,
-    via Ginibre matrices and a phase-corrected QR; sample i consumes the
-    generator as the i-th per-sample draw would, an (n, n) standard normal
-    real part, then the imaginary part. The first columns of Q depend only
-    on the first columns of the Ginibre matrix, so only those are factored."""
-    g = rng.standard_normal((count, 2, n, n))[..., :columns]
+def _ginibre(n: int, count: int, rng, columns: int) -> np.ndarray:
+    """The first ``columns`` columns of ``count`` stacked (n, n) Ginibre draws,
+    real and imaginary parts along axis 1; sample i consumes the generator as
+    the i-th per-sample draw would, an (n, n) standard normal real part, then
+    the imaginary part."""
+    return rng.standard_normal((count, 2, n, n))[..., :columns]
+
+
+def _haar_columns(g: np.ndarray) -> np.ndarray:
+    """The leading columns of Haar unitaries from Ginibre draws :func:`_ginibre`
+    made, by a phase-corrected QR. The first columns of Q depend only on the
+    first columns of the Ginibre matrix, so only those are factored."""
     q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[:, None, :]
@@ -207,7 +216,18 @@ def haar_random_povm(dim: int, n_outcomes: int, rng) -> Povm:
     if n_outcomes < dim:
         raise InvalidInput("need n_outcomes >= dim for completeness")
     # every column factored, as the per-sample reference draw does, so the two agree bit for bit
-    return Povm(gauge_fix_effects(_haar_columns(n_outcomes, 1, rng, n_outcomes)[0, :, :dim]))
+    columns = _haar_columns(_ginibre(n_outcomes, 1, rng, n_outcomes))
+    return Povm(gauge_fix_effects(columns[0, :, :dim]))
+
+
+def haar_workers(samples: int) -> int:
+    """Threads :func:`haar_mean_c_norm` factors ``samples`` draws on: one per
+    available core, and no more than there are blocks."""
+    return min(available_cores(), -(-samples // HAAR_BLOCK))
+
+
+def _block_norms(g: np.ndarray, order, out: np.ndarray) -> None:
+    out[:] = np.linalg.norm(_c_gram(_haar_columns(g)), order, axis=(-2, -1))
 
 
 def haar_mean_c_norm(dim: int, n_outcomes: int, samples: int, rng,
@@ -219,13 +239,25 @@ def haar_mean_c_norm(dim: int, n_outcomes: int, samples: int, rng,
     baseline convention for random measurements. Samples are drawn in
     stacks of ``HAAR_BLOCK`` and consume ``rng`` exactly as ``samples``
     successive per-sample Ginibre draws and QR factorizations would.
+
+    The calling thread draws every block in turn; a pool of
+    :func:`haar_workers` threads, which lives only for this call, factors
+    them and takes their norms, with at most two blocks per thread in
+    flight. Each matrix goes through the same LAPACK call as in a serial
+    loop, so the result does not depend on the thread count.
     """
     if samples < 100:
         raise InvalidInput("need at least 100 samples for a stable baseline")
     order = _norm_ord(kind)
     vals = np.empty(samples)
-    for start in range(0, samples, HAAR_BLOCK):
-        count = min(HAAR_BLOCK, samples - start)
-        rows = _haar_columns(n_outcomes, count, rng, dim)
-        vals[start:start + count] = np.linalg.norm(_c_gram(rows), order, axis=(-2, -1))
+    workers = haar_workers(samples)
+    in_flight = deque()
+    with ThreadPoolExecutor(workers) as pool:
+        for start in range(0, samples, HAAR_BLOCK):
+            g = _ginibre(n_outcomes, min(HAAR_BLOCK, samples - start), rng, dim)
+            in_flight.append(pool.submit(_block_norms, g, order, vals[start:start + len(g)]))
+            if len(in_flight) == 2 * workers:
+                in_flight.popleft().result()
+        for block in in_flight:
+            block.result()
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples))

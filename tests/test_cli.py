@@ -1,4 +1,5 @@
 import json
+import os
 import warnings
 from datetime import datetime
 
@@ -7,12 +8,14 @@ import pytest
 
 from conftest import dft_columns
 from pointtomo.assets import U7_NAME, asset_text, format_matrix_text
+from pointtomo.blas import available_cores
 from pointtomo import cli
+from pointtomo import povm as povm_module
 from pointtomo.cli import main
 from pointtomo.fisher import asymptotic_infidelity_coefficient
 from pointtomo.io import atomic_write_text, read_sweep_table, sweep_table_text
 from pointtomo.estimator import MleConfig
-from pointtomo.povm import effects_from_family
+from pointtomo.povm import HAAR_BLOCK, effects_from_family
 from pointtomo.simulate import (OUTCOMES, NoiseConfig, SweepConfig, SweepResult,
                                 bootstrap_infidelity, expected_infidelity_floor, perturb_effects,
                                 run_sweep, sample_counts, trial_rng)
@@ -31,6 +34,18 @@ class TestSimulateCommand:
         assert run_cli(*args, "--out", str(out1)) == 0
         assert run_cli(*args, "--out", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_workers_default_to_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert available_cores() == 3
+        argv = ["simulate", "--theta", "0.01", "--n-grid", "50", "--seed", "1"]
+        assert cli.build_parser().parse_args(argv).workers == 3
+        # where the platform has no affinity call, the count of all cores
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert available_cores() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert available_cores() == 1
 
     def test_metadata_sidecar(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -331,6 +346,20 @@ class TestOtherCommands:
         assert "tr(I J^-1): 3.0000000" in out
         assert "Haar baseline" in out
 
+    def test_fisher_sidecar_records_the_haar_pool(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(povm_module, "available_cores", lambda: 3)
+        out = tmp_path / "f.txt"
+        # three blocks of Haar samples, one per thread
+        assert run_cli("fisher", "--haar-baseline", str(2 * HAAR_BLOCK + 1), "--out",
+                       str(out)) == 0
+        assert capsys.readouterr().out == out.read_text()
+        meta = json.loads((tmp_path / "f.meta.json").read_text())
+        assert meta["workers"] == 3
+        assert set(meta["stage_s"]) == {"haar", "write"} and meta["stage_s"]["haar"] > 0
+        # without a baseline there is no pool to record
+        assert run_cli("fisher", "--out", str(out)) == 0
+        assert {"workers", "stage_s"}.isdisjoint(json.loads((tmp_path / "f.meta.json").read_text()))
+
     def test_fisher_bad_phases_is_config_error(self, capsys):
         assert run_cli("fisher", "--subset", "1,3,5,7", "--phases", "0,0.3,1.1,2.0") == 0
         capsys.readouterr()
@@ -484,6 +513,26 @@ class TestOtherCommands:
         assert shown.out == "" and f"{argv[-2]} {argv[-1]}: no such directory" in shown.err
         assert ".tmp" not in shown.err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("fisher", "--out", "sub"),
+        ("simulate", "--theta", "0.01", "--n-grid", "100", "--seed", "1", "--out", "sub"),
+        ("simulate", "--theta", "0.01", "--n-grid", "100", "--seed", "1", "--out", "s.csv",
+         "--plot", "sub")])
+    def test_output_over_a_directory_is_config_error_before_the_run(
+            self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+
+        def no_sweep(*args, **kwargs):
+            pytest.fail("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        assert run_cli(*argv) == 2
+        shown = capsys.readouterr()
+        assert shown.out == ""
+        assert shown.err == f"configuration error: {argv[-2]} sub: is a directory\n"
+        assert [path.name for path in tmp_path.rglob("*")] == ["sub"]
 
     @pytest.mark.parametrize("argv", [
         ("simulate", "--theta", "0.01", "--n-grid", "50"),

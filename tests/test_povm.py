@@ -1,10 +1,14 @@
+import itertools
+import threading
+
 import numpy as np
 import pytest
 
+from pointtomo import povm as povm_module
 from pointtomo.assets import reference_effects, reference_family_keys, seven_port_matrix
 from pointtomo.errors import DegenerateInput, InvalidInput
 from pointtomo.fisher import NORM_KINDS, c_matrix, c_norm, matrix_norm
-from pointtomo.povm import (GAUGE_FLOOR, Povm, effects_from_family,
+from pointtomo.povm import (GAUGE_FLOOR, HAAR_BLOCK, Povm, effects_from_family,
                             enumerate_families, gauge_fix_effects, haar_mean_c_norm,
                             haar_random_povm, load_mbs, optimize_phases)
 
@@ -244,6 +248,33 @@ class TestHaarSampling:
                 assert got == pytest.approx(want, rel=1e-15, abs=0)
             # the generator is left where the per-sample loop leaves it
             assert rng.standard_normal() == ref_rng.standard_normal()
+
+    @pytest.mark.parametrize("samples", [100, HAAR_BLOCK + 1, 10_000])
+    def test_baseline_does_not_depend_on_the_thread_count(self, monkeypatch, samples):
+        for kind in NORM_KINDS:
+            runs = []
+            for cores in (1, 3):
+                monkeypatch.setattr(povm_module, "available_cores", lambda: cores)
+                assert povm_module.haar_workers(samples) == min(cores, -(-samples // HAAR_BLOCK))
+                rng = np.random.default_rng(samples)
+                runs.append((haar_mean_c_norm(4, 7, samples, rng, kind=kind),
+                             rng.bit_generator.state))
+            assert runs[0] == runs[1]
+
+    def test_failed_block_propagates_and_leaves_no_thread(self, monkeypatch):
+        qr, calls = np.linalg.qr, itertools.count(1)
+
+        def qr_failing_on_third_block(a, *args, **kwargs):
+            if next(calls) == 3:
+                raise np.linalg.LinAlgError("third block")
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", qr_failing_on_third_block)
+        monkeypatch.setattr(povm_module, "available_cores", lambda: 3)
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match="third block"):
+            haar_mean_c_norm(4, 7, 10_000, np.random.default_rng(0))
+        assert threading.active_count() == before
 
     def test_unitary_matches_per_sample_reference(self):
         for seed in (0, 1, 6, 987):
