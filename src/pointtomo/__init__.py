@@ -20,11 +20,6 @@ from .simulate import (BootstrapResult, NoiseConfig, SweepConfig, SweepResult,
 from .states import (DensityMatrix, StateVector, born_probabilities, depolarize,
                      equal_deviation_state, fidelity, neighborhood_state)
 
-# after numpy has loaded its OpenBLAS: capping first slows its import
-from .blas import limit_blas_threads as _limit_blas_threads
-
-_limit_blas_threads()
-
 # submodules stay reachable as attributes but are not part of the star-import surface
 __all__ = [name for name in dir()
            if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

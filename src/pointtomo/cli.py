@@ -17,15 +17,14 @@ import numpy as np
 
 from . import __version__
 from .assets import format_matrix_text
-from .blas import available_cores, blas_threads
 from .errors import InvalidInput, PointTomoError
 from .estimator import MleConfig, fit_power_law
 from .fisher import (NORM_KINDS, asymptotic_infidelity_coefficient, c_matrix, c_norm,
                      cfim_first_order, gill_massar_wmse, gm_inequality_lhs, qfim_pure)
 from .io import atomic_write_text, config_hash, read_sweep_table, sweep_table_text
 from .plotting import sweep_plot_svg
-from .povm import (effects_from_family, enumerate_families, haar_mean_c_norm,
-                   haar_workers, load_device, optimize_phases)
+from .povm import (available_cores, effects_from_family, enumerate_families,
+                   haar_mean_c_norm, haar_workers, load_device, optimize_phases)
 from .simulate import (NoiseConfig, SweepConfig, bootstrap_infidelity, check_theta_scalar,
                        expected_infidelity_floor, perturb_effects, prepared_state, run_sweep,
                        sample_counts, trial_rng)
@@ -86,9 +85,9 @@ def _write_run(args, text: str, extra: dict | None = None, unhashed: tuple = (),
 
     The sidecar holds the hash of every argument except the output paths,
     the worker count and ``unhashed``, which leave ``text`` unchanged; the
-    seed, library versions and BLAS thread caps; the ``extra`` keys; and a
-    timestamp. An ``extra["stage_s"]`` of stage wall seconds gains a
-    ``write`` stage, the seconds taken to write ``text``."""
+    seed and library versions; the ``extra`` keys; and a timestamp. An
+    ``extra["stage_s"]`` of stage wall seconds gains a ``write`` stage, the
+    seconds taken to write ``text``."""
     if svg:
         atomic_write_text(args.plot, svg)
     if not args.out:
@@ -101,8 +100,7 @@ def _write_run(args, text: str, extra: dict | None = None, unhashed: tuple = (),
     if "stage_s" in extra:
         extra["stage_s"] = {**extra["stage_s"], "write": time.perf_counter() - start}
     record = {"config_hash": config_hash(run), "seed": vars(args).get("seed"),
-              "versions": {"pointtomo": __version__, "numpy": np.__version__},
-              "blas_threads": blas_threads(), **extra,
+              "versions": {"pointtomo": __version__, "numpy": np.__version__}, **extra,
               "timestamp": datetime.now(timezone.utc).isoformat()}
     atomic_write_text(_sidecar(args.out), json.dumps(record, indent=2, sort_keys=True) + "\n")
 
@@ -339,8 +337,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_paths(args)
-        return args.func(args)
-    except (InvalidInput, FileNotFoundError, OSError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()                   # a closed reader shows here, buffered or not
+        return code
+    except BrokenPipeError:
+        # the reader is gone: nothing to tell it, and a silent interpreter exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (InvalidInput, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except PointTomoError as exc:

@@ -13,6 +13,7 @@ nonnegative.
 
 from __future__ import annotations
 
+import os
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +23,6 @@ from itertools import combinations
 import numpy as np
 
 from .assets import load_matrix, seven_port_matrix
-from .blas import available_cores
 from .errors import DegenerateInput, InvalidInput
 from .fisher import COMPLETENESS_TOL, _c_gram, _norm_ord, matrix_norm
 from .validation import check_square_matrix
@@ -218,6 +218,15 @@ def haar_random_povm(dim: int, n_outcomes: int, rng) -> Povm:
     # every column factored, as the per-sample reference draw does, so the two agree bit for bit
     columns = _haar_columns(_ginibre(n_outcomes, 1, rng, n_outcomes))
     return Povm(gauge_fix_effects(columns[0, :, :dim]))
+
+
+def available_cores() -> int:
+    """The cores this process may run on: its affinity mask where the platform
+    has one, else ``os.cpu_count()``, and at least 1."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except AttributeError:                   # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def haar_workers(samples: int) -> int:

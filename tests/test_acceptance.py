@@ -4,7 +4,6 @@ PASS/FAIL line with the measured value next to its tolerance.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
-import os
 import warnings
 
 import numpy as np
@@ -15,12 +14,12 @@ from pointtomo.cli import main as cli_main
 from pointtomo.estimator import MleConfig, estimate_state, fit_power_law
 from pointtomo.fisher import (cfim_first_order, cfim_numeric,
                               gm_inequality_lhs, qfim_pure)
-from pointtomo.povm import (effects_from_family, enumerate_families,
+from pointtomo.povm import (available_cores, effects_from_family, enumerate_families,
                             haar_mean_c_norm, haar_random_povm, optimize_phases)
 from pointtomo.simulate import NoiseConfig, SweepConfig, run_sweep
 from pointtomo.states import neighborhood_state, pure_probabilities
 
-WORKERS = min(os.cpu_count() or 1, 8)
+WORKERS = min(available_cores(), 8)
 _cache = {}
 
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
 from datetime import datetime
 
@@ -8,14 +10,13 @@ import pytest
 
 from conftest import dft_columns
 from pointtomo.assets import U7_NAME, asset_text, format_matrix_text
-from pointtomo.blas import available_cores
 from pointtomo import cli
 from pointtomo import povm as povm_module
 from pointtomo.cli import main
 from pointtomo.fisher import asymptotic_infidelity_coefficient
 from pointtomo.io import atomic_write_text, read_sweep_table, sweep_table_text
 from pointtomo.estimator import MleConfig
-from pointtomo.povm import HAAR_BLOCK, effects_from_family
+from pointtomo.povm import HAAR_BLOCK, available_cores, effects_from_family
 from pointtomo.simulate import (OUTCOMES, NoiseConfig, SweepConfig, SweepResult,
                                 bootstrap_infidelity, expected_infidelity_floor, perturb_effects,
                                 run_sweep, sample_counts, trial_rng)
@@ -58,7 +59,31 @@ class TestSimulateCommand:
         assert datetime.fromisoformat(meta["timestamp"]).tzinfo is not None
         assert "versions" in meta
         assert set(meta["versions"]) == {"pointtomo", "numpy"}
-        assert all(n == 1 for n in meta["blas_threads"].values())
+
+    def test_sidecar_keys_of_every_command(self, tmp_path):
+        # each command's top-level sidecar keys, exactly as the README lists them
+        common = {"config_hash", "seed", "versions", "timestamp"}
+        sweep = tmp_path / "s.csv"
+        runs = {
+            "simulate": (["simulate", "--theta", "0.01", "--n-grid", "50,100", "--reps", "2",
+                          "--seed", "4", "--mle-starts", "1", "--workers", "1"],
+                         {"rows", "workers", "stage_s", *OUTCOMES}, {"sweep", "write"}),
+            "bootstrap": (["bootstrap", "--counts", "40,30,20,5,3,1,1", "--theta", "0.01",
+                           "--seed", "4", "--boot", "10"],
+                          {"resampling", "workers", "stage_s", *OUTCOMES},
+                          {"estimate", "write"}),
+            "fisher": (["fisher", "--haar-baseline", "100"], {"workers", "stage_s"},
+                       {"haar", "write"}),
+            "design": (["design"], set(), set()),
+            "fit": (["fit", str(sweep)], set(), set()),
+            "report": (["report", str(sweep)], set(), set()),
+        }
+        for name, (argv, keys, stages) in runs.items():
+            out = sweep if name == "simulate" else tmp_path / f"{name}.txt"
+            assert run_cli(*argv, "--out", str(out)) == 0, name
+            meta = json.loads(out.with_suffix(".meta.json").read_text())
+            assert set(meta) == common | keys, name
+            assert set(meta.get("stage_s", ())) == stages, name
 
     def test_seed_required(self, capsys):
         # a missing --seed, --epsilon on bootstrap, which never reads it, and the
@@ -585,6 +610,28 @@ class TestOtherCommands:
         svg = tmp_path / "r.svg"
         assert run_cli("report", str(narrow), "--plot", str(svg)) == 2
         assert not svg.exists()
+
+    @pytest.mark.parametrize("argv, unbuffered", [
+        (["design"], False), (["design"], True), (["fisher"], False),
+        (["simulate", "--theta", "0.01", "--n-grid", "100", "--seed", "1", "--workers", "1"],
+         False)], ids=["design", "design-unbuffered", "fisher", "simulate"])
+    def test_closed_stdout_is_runtime_error(self, argv, unbuffered):
+        # a reader that has gone (``| head``): exit 1 and nothing on stderr,
+        # whether the table is still buffered at exit or was written at once
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "pointtomo.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                  text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, "")
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
