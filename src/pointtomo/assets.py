@@ -1,14 +1,12 @@
-"""Versioned numeric data assets and the plain-text matrix format.
+"""The shipped device matrix and the plain-text matrix format.
 
 Matrices are stored as text: ``#`` comment lines, then one row per line of
-whitespace-separated complex tokens in ``re+imj`` form. The shipped assets
-are the characterized 7-port device matrix and the 35 reference effect
-tables (one per 4-of-7 input family), with SHA-256 checksums.
+whitespace-separated complex tokens in ``re+imj`` form. The one shipped
+asset is the characterized 7-port device matrix.
 """
 
 from __future__ import annotations
 
-import hashlib
 from importlib import resources
 
 import numpy as np
@@ -16,7 +14,6 @@ import numpy as np
 from .errors import InvalidInput
 
 U7_NAME = "u7.txt"
-CHECKSUM_NAME = "sha256sums.txt"
 
 
 def parse_matrix_text(text: str) -> np.ndarray:
@@ -48,55 +45,10 @@ def load_matrix(path) -> np.ndarray:
         return parse_matrix_text(fh.read())
 
 
-def _data_root():
-    return resources.files(__package__) / "data"
-
-
 def asset_text(name: str) -> str:
-    return (_data_root() / name).read_text(encoding="utf-8")
-
-
-def asset_matrix(name: str) -> np.ndarray:
-    return parse_matrix_text(asset_text(name))
+    return (resources.files(__package__) / "data" / name).read_text(encoding="utf-8")
 
 
 def seven_port_matrix() -> np.ndarray:
     """The characterized 7x7 device matrix (raw, slightly non-unitary)."""
-    return asset_matrix(U7_NAME)
-
-
-def reference_effects(subset) -> np.ndarray:
-    """Shipped reference effect table for a 4-of-7 family, shape (4, 7).
-
-    Rows are logical components j = 0..3 under the real-nonnegative leading
-    row convention; columns are the seven outcomes.
-    """
-    key = "".join(str(int(s)) for s in subset)
-    if len(key) != 4:
-        raise InvalidInput(f"reference tables exist for 4-input families only, got {subset}")
-    return asset_matrix(f"effects_{key}.txt")
-
-
-def reference_family_keys() -> list:
-    """Subsets covered by the shipped reference tables, in lexicographic order."""
-    names = sorted(p.name for p in _data_root().iterdir()
-                   if p.name.startswith("effects_") and p.name.endswith(".txt"))
-    return [tuple(int(c) for c in name[len("effects_"):-len(".txt")]) for name in names]
-
-
-def verify_checksums() -> dict:
-    """Recompute SHA-256 digests of all assets against the shipped manifest.
-
-    Returns the manifest mapping; raises on any mismatch or missing file.
-    """
-    manifest = {}
-    for line in asset_text(CHECKSUM_NAME).splitlines():
-        if not line.strip():
-            continue
-        digest, name = line.split()
-        manifest[name] = digest
-    for name, digest in manifest.items():
-        actual = hashlib.sha256((_data_root() / name).read_bytes()).hexdigest()
-        if actual != digest:
-            raise InvalidInput(f"asset {name} does not match its recorded checksum")
-    return manifest
+    return parse_matrix_text(asset_text(U7_NAME))

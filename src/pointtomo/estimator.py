@@ -319,17 +319,17 @@ def fit_power_law(points) -> FitResult:
     """Least squares on (log N, log infidelity) over (N, infidelity) pairs.
 
     Points with infidelity exactly 0 are excluded with a warning; negative
-    infidelities are rejected. The points left must span at least two
-    distinct N, or the slope is undetermined.
+    or non-finite infidelities are rejected. The points left must span at
+    least two distinct N, or the slope is undetermined.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise InvalidInput("need at least two (N, infidelity) points")
     n, y = pts[:, 0], pts[:, 1]
-    if np.any(n <= 0) or not np.all(np.isfinite(pts)):
+    if not np.all(np.isfinite(n) & (n > 0)):
         raise InvalidInput("ensemble sizes must be positive and finite")
-    if np.any(y < 0):
-        raise InvalidInput("infidelities must be nonnegative")
+    if not np.all(np.isfinite(y) & (y >= 0)):
+        raise InvalidInput("infidelities must be nonnegative and finite")
     keep = y > 0
     if not np.all(keep):
         warnings.warn(f"excluding {np.count_nonzero(~keep)} zero-infidelity points from the fit",

@@ -99,7 +99,7 @@ def sweep_plot_svg(table: np.ndarray, gm_coefficient: float = 3.0,
         if np.all(np.isfinite(lows)):
             lo, hi = max(lows.min(), y_lo), max(highs.max(), y_lo)
         else:
-            lo, hi = max(np.quantile(sel[:, 2], 0.05), y_lo), np.quantile(sel[:, 2], 0.95)
+            lo, hi = (max(np.quantile(sel[:, 2], q), y_lo) for q in (0.05, 0.95))
         x = px(n)
         parts.append(f'<line x1="{x:.1f}" y1="{py(lo):.1f}" x2="{x:.1f}" '
                      f'y2="{py(hi):.1f}" stroke="#1f4e9c"/>')

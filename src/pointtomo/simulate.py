@@ -127,10 +127,6 @@ class SweepResult:
         arr = self.as_array()
         return {int(n): float(arr[arr[:, 0] == n, 2].mean()) for n in np.unique(arr[:, 0])}
 
-    def points(self) -> np.ndarray:
-        """(N, infidelity) pairs of every trial, for power-law fitting."""
-        return self.as_array()[:, :3:2]
-
 
 def trial_rng(master_seed: int, grid_index: int, trial: int, stream: int = 0):
     """Independent generator for one work item of a sweep."""

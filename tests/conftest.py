@@ -1,12 +1,14 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pointtomo.assets import seven_port_matrix
+from pointtomo.assets import parse_matrix_text, seven_port_matrix
 from pointtomo.povm import Povm, effects_from_family, load_mbs
 
 WINNER = (4, 5, 6, 7)
+DATA = Path(__file__).parent / "data"
 
 ACCEPTANCE_LINES = []
 
@@ -65,6 +67,13 @@ def fsm_povm():
     from pointtomo.povm import gauge_fix_effects
 
     return Povm(gauge_fix_effects(np.array(rows)))
+
+
+def reference_tables() -> dict:
+    """The reference effect table of each 4-of-7 family in ``DATA``, in lexicographic
+    order: (components, outcomes) = (4, 7), with row 0 real nonnegative."""
+    return {tuple(map(int, path.stem[-4:])): parse_matrix_text(path.read_text(encoding="utf-8"))
+            for path in sorted(DATA.glob("effects_*.txt"))}
 
 
 def dft_columns(n: int, d: int) -> np.ndarray:

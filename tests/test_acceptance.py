@@ -8,8 +8,7 @@ import warnings
 
 import numpy as np
 
-from conftest import WINNER, disk_theta
-from pointtomo.assets import reference_effects, reference_family_keys
+from conftest import WINNER, disk_theta, reference_tables
 from pointtomo.cli import main as cli_main
 from pointtomo.estimator import MleConfig, estimate_state, fit_power_law
 from pointtomo.fisher import (cfim_first_order, cfim_numeric,
@@ -57,15 +56,16 @@ def test_criterion_01_family_count():
 
 
 def test_criterion_02_reference_matrix_regression(raw_device):
+    tables = reference_tables()
     worst = 0.0
-    for subset in reference_family_keys():
+    for subset, table in tables.items():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             povm = effects_from_family(raw_device, subset)
-        diff = float(np.max(np.abs(povm.effects - reference_effects(subset).T)))
+        diff = float(np.max(np.abs(povm.effects - table.T)))
         worst = max(worst, diff)
-    report(2, worst < 5e-4,
-           f"worst entrywise deviation across 35 reference tables = {worst:.2e} (< 5e-4)")
+    report(2, len(tables) == 35 and worst < 5e-4, f"worst entrywise deviation across "
+              f"{len(tables)} reference tables (expected 35) = {worst:.2e} (< 5e-4)")
 
 
 def test_criterion_03_design_anchor(device):
@@ -143,8 +143,8 @@ def test_criterion_09_scaling_reproduction(family_povm):
     cfg = SweepConfig(theta_scalar=0.01, n_grid=(100, 1000, 10_000, 100_000),
                       repetitions=200, noise=NoiseConfig(lam=1.0), seed=20_240)
     result = run_sweep(cfg, povm=family_povm, workers=WORKERS)
-    fit = fit_power_law(result.points())
     arr = result.as_array()
+    fit = fit_power_law(arr[:, :3:2])
     gm_ok = True
     means = {}
     for n in cfg.n_grid:

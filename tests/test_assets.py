@@ -1,15 +1,23 @@
+import hashlib
+import itertools
+from importlib import resources
+
 import numpy as np
 import pytest
 
-from pointtomo.assets import (format_matrix_text, parse_matrix_text,
-                              reference_effects, reference_family_keys,
-                              seven_port_matrix, verify_checksums)
+from conftest import DATA, reference_tables
+from pointtomo.assets import U7_NAME, format_matrix_text, parse_matrix_text, seven_port_matrix
 from pointtomo.errors import InvalidInput
 
 
 def test_checksums_cover_all_assets():
-    manifest = verify_checksums()
-    assert len(manifest) == 36  # the device matrix plus 35 effect tables
+    # the manifest covers the 35 reference tables here and the package's device matrix
+    files = {path.name: path for path in DATA.glob("effects_*.txt")}
+    files[U7_NAME] = resources.files("pointtomo") / "data" / U7_NAME
+    manifest = [line.split() for line in (DATA / "sha256sums.txt").read_text().splitlines()]
+    assert sorted(name for _, name in manifest) == sorted(files) and len(files) == 36
+    for digest, name in manifest:
+        assert hashlib.sha256(files[name].read_bytes()).hexdigest() == digest, name
 
 
 def test_seven_port_matrix_shape_and_scale():
@@ -22,18 +30,12 @@ def test_seven_port_matrix_shape_and_scale():
 
 
 def test_reference_tables_complete_and_gauged():
-    keys = reference_family_keys()
-    assert len(keys) == 35
-    for subset in keys:
-        table = reference_effects(subset)
+    tables = reference_tables()
+    assert list(tables) == sorted(itertools.combinations(range(1, 8), 4))
+    for table in tables.values():
         assert table.shape == (4, 7)
         assert np.allclose(table[0].imag, 0.0)
         assert np.all(table[0].real >= 0)
-
-
-def test_reference_lookup_validates_subset():
-    with pytest.raises(InvalidInput):
-        reference_effects((1, 2, 3))
 
 
 def test_matrix_text_roundtrip():

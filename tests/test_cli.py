@@ -599,6 +599,15 @@ class TestOtherCommands:
         assert shown.out == "" and shown.err == "configuration error: need d >= 2 and n_exp >= 1\n"
         assert set(tmp_path.iterdir()) == files
 
+    @pytest.mark.parametrize("command", ["fit", "report"])
+    def test_nan_infidelity_is_config_error(self, tmp_path, capsys, command):
+        table = tmp_path / "nan.csv"
+        table.write_text("N,trial,infidelity,boot_low,boot_q25,boot_median,boot_q75,boot_high\n"
+                         "100,0,0.01,nan,nan,nan,nan,nan\n1000,0,nan,nan,nan,nan,nan,nan\n")
+        assert run_cli(command, str(table)) == 2
+        assert capsys.readouterr() == (
+            "", "configuration error: infidelities must be nonnegative and finite\n")
+
     def test_fit_missing_file_is_config_error(self, tmp_path):
         assert run_cli("fit", str(tmp_path / "nope.csv")) == 2
         header = "N,trial,infidelity,boot_low,boot_q25,boot_median,boot_q75,boot_high\n"

@@ -491,6 +491,13 @@ class TestFitPowerLaw:
         with pytest.raises(InvalidInput):
             fit_power_law(np.array([[10, 0.1], [100, -0.01]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_name_their_column(self, bad):
+        with pytest.raises(InvalidInput, match="^infidelities must be nonnegative and finite$"):
+            fit_power_law(np.array([[10, 0.1], [100, bad]]))
+        with pytest.raises(InvalidInput, match="^ensemble sizes must be positive and finite$"):
+            fit_power_law(np.array([[10, 0.1], [bad, 0.01]]))
+
     def test_too_few_points(self):
         with pytest.raises(InvalidInput):
             fit_power_law(np.array([[10, 0.1]]))

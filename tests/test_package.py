@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 from types import ModuleType
 
@@ -26,6 +27,11 @@ def test_all_lists_no_modules_and_resolves():
     for name in ("errors", "estimator", "fisher", "povm", "simulate", "states",
                  "validation"):
         assert isinstance(getattr(pointtomo, name), ModuleType)
+
+
+def test_package_data_is_the_device_matrix_alone():
+    data = resources.files("pointtomo") / "data"
+    assert [path.name for path in data.iterdir()] == ["u7.txt"]
 
 
 def test_readme_library_example_runs(capsys):

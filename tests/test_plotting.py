@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 
@@ -28,3 +29,14 @@ def test_whiskers_span_the_bootstrap_columns():
         assert abs(float(y1) - row(scale * 0.008)) < 0.5
         assert abs(float(y2) - row(scale * 0.2)) < 0.5
         assert abs(float(y1) - row(scale * np.quantile([0.02, 0.03, 0.04, 0.05], 0.05))) > 20
+
+
+def test_all_zero_trials_without_bootstrap_stay_on_the_axis():
+    # every trial at N = 1000 hit the truth and no trial has bootstrap columns:
+    # both whisker ends are floored at the axis, without a numpy warning
+    table = np.array([(n, t, infid) + (np.nan,) * 5 for n, infids in
+                      ((100, (0.02, 0.05)), (1000, (0.0, 0.0))) for t, infid in enumerate(infids)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        svg = sweep_plot_svg(table)
+    assert not re.search(r'[",\s]-?(inf|nan)[",\s]', svg)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from pointtomo import povm as povm_module
-from pointtomo.assets import reference_effects, reference_family_keys, seven_port_matrix
+from conftest import reference_tables
+from pointtomo.assets import seven_port_matrix
 from pointtomo.errors import DegenerateInput, InvalidInput
 from pointtomo.fisher import NORM_KINDS, c_matrix, c_norm, matrix_norm
 from pointtomo.povm import (GAUGE_FLOOR, HAAR_BLOCK, Povm, effects_from_family,
@@ -86,11 +87,11 @@ class TestEffectsFromFamily:
     def test_reference_regression_all_families(self, raw_device):
         import warnings
 
-        for subset in reference_family_keys():
+        for subset, table in reference_tables().items():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 povm = effects_from_family(raw_device, subset)
-            ref = reference_effects(subset).T  # stored (components, outcomes)
+            ref = table.T  # stored (components, outcomes)
             assert np.max(np.abs(povm.effects - ref)) < 5e-4, subset
 
     def test_raw_device_warns_about_completeness(self, raw_device):
