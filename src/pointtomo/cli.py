@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -114,6 +115,19 @@ def _note_outcomes(outcomes: dict) -> None:
               file=sys.stderr)
 
 
+def _fit(table):
+    """:func:`fit_power_law` on a sweep table's (N, infidelity) columns; each
+    warning it gives (zero infidelities left out) is one ``note:`` line on
+    stderr, also when the fit then fails."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return fit_power_law(table[:, :3:2])
+        finally:
+            for warning in caught:
+                print(f"note: {warning.message}", file=sys.stderr)
+
+
 def _add_family_args(p):
     p.add_argument("--device", default="u7", help=DEVICE_HELP)
     p.add_argument("--subset", type=_parse_ints, default=(4, 5, 6, 7),
@@ -200,7 +214,8 @@ def cmd_simulate(args) -> int:
         model_floor=expected_infidelity_floor(prepared_state(cfg, povm.dim), povm),
         model_coefficient=asymptotic_infidelity_coefficient(povm))
     _write_run(args, table, extra={"rows": len(result.rows), "workers": result.workers,
-                                   **result.outcomes, "stage_s": {"sweep": sweep_s}}, svg=svg)
+                                   **result.outcomes, "fallback_rows": result.fallback_rows,
+                                   "stage_s": {"sweep": sweep_s}}, svg=svg)
     if not args.out:
         sys.stdout.write(table)
     return 0
@@ -224,13 +239,14 @@ def cmd_bootstrap(args) -> int:
     sys.stdout.write(table)
     _note_outcomes(res.outcomes)
     _write_run(args, table, extra={"resampling": "empirical-frequencies", "workers": 1,
-                                   **res.outcomes, "stage_s": {"estimate": estimate_s}})
+                                   **res.outcomes, "fallback_rows": res.fallback_rows,
+                                   "stage_s": {"estimate": estimate_s}})
     return 0
 
 
 def cmd_fit(args) -> int:
     table = read_sweep_table(args.infile)
-    fit = fit_power_law(table[:, :3:2])
+    fit = _fit(table)
     record = {"coefficient": fit.coefficient, "exponent": fit.exponent,
               "residual": fit.residual, "source": os.path.basename(args.infile),
               "source_hash": config_hash(table.tolist())}
@@ -250,7 +266,7 @@ def cmd_report(args) -> int:
         se = sel.std(ddof=1) / np.sqrt(sel.size) if sel.size > 1 else np.nan
         lines.append(f"{int(n):>10}  {sel.mean():>12.4e}  {np.median(sel):>12.4e}  "
                      f"{gill_massar_wmse(args.dim, n):>12.4e}  {n * sel.mean():>10.4f} +/- {n * se:.4f}")
-    fit = fit_power_law(table[:, :3:2])
+    fit = _fit(table)
     lines.append("")
     lines.append(f"power-law fit: infidelity ~ {fit.coefficient:.3f} * N^{fit.exponent:.3f} "
                  f"(log-residual RMS {fit.residual:.3f})")

@@ -2,14 +2,20 @@
 
 The estimator maximizes the multinomial log-likelihood over the local chart
 theta in C^(d-1) (2(d-1) real variables) with a box-projected Newton
-iteration on the closed-form gradient and Hessian. It starts from the
-fiducial point and from a linearized inversion of the observed frequencies;
-random draws inside the trust region are added only when those two end at
-different optima or on the chart bound. The best likelihood wins; among
-numerically tied optima the point closest to the fiducial state is
-returned, which is the resolution appropriate to estimation in a trusted
-neighborhood (a handful of outcomes cannot distinguish all pure states
-globally).
+iteration on the closed-form gradient and Hessian. It starts from a
+linearized inversion of the observed frequencies, which is close to the
+optimum for a state near the fiducial one. Where that start's descent
+converges off the chart bound, its end is the estimate. Only the other
+rows fall back to a search: from the fiducial point too and, when those two
+end at different optima or on the chart bound, from random draws inside
+the trust region. Among the starts a row descends, the best likelihood
+wins; among numerically tied optima the point closest to the fiducial
+state is returned, which is the resolution appropriate to estimation in a
+trusted neighborhood (a handful of outcomes cannot distinguish all pure
+states globally). A decided row searches no further: at N = 100 its
+linearized end is now and then a local optimum that the full search would
+beat (3 of the 80,800 estimates of the README's paper-scale grid), and a tie
+it would have found goes to the linearized end.
 
 The descent runs on a stack of starts, each row with its own outcome
 weights: one objective call evaluates every running row, and each row keeps
@@ -41,7 +47,7 @@ from .validation import check_counts
 class MleConfig:
     """Optimizer settings for :func:`estimate_state`."""
 
-    starts: int = 8                   # random starts if the fixed two disagree or hit the bound
+    starts: int = 8                   # random starts of the fallback rows that retry
 
     tolerance: ClassVar[float] = 1e-10    # max-abs projected gradient at convergence
     max_iterations: ClassVar[int] = 100
@@ -251,13 +257,20 @@ def _estimate_rows(effects: np.ndarray, counts: np.ndarray, cfg: MleConfig) -> t
     candidates, tied candidates, converged, at-bound and the state's
     amplitudes (R, d).
 
-    The two fixed starts of every row descend as one batch. The rows whose
-    fixed starts end at different optima or on the chart bound then get
-    cfg.starts random starts each, all in a second batch; the random starts
-    are a function of the config only, the same for every row. The optimum
-    is chosen over (rows, candidates) arrays, +inf in the random-start slots
-    of rows that did not retry: the best value, then the tied point closest
-    to the fiducial, first in start order.
+    The linearized start of every row descends first, one batch of R rows.
+    A row whose linearized end passes the convergence test off the chart
+    bound is decided there. Only the other rows fall back to the full
+    search: their zero start (the fiducial point), and cfg.starts random
+    starts for those whose two fixed starts end at different optima or on
+    the chart bound; the random starts are a function of the config only,
+    the same for every row. A linearized end on the bound retries whatever
+    the zero start finds, so the zero start of such a row descends in one
+    batch with the random starts; only the zero starts of the other
+    fallback rows descend in a batch of their own, before the retry test.
+    The optimum is chosen over (rows, candidates) arrays, slot 0 the zero
+    start, slot 1 the linearized start, then the random starts, +inf in the
+    slots that did not run: the best value, then the tied point closest to
+    the fiducial, first in start order.
     """
     m = effects.shape[1] - 1
     bound = cfg.chart_bound
@@ -265,26 +278,32 @@ def _estimate_rows(effects: np.ndarray, counts: np.ndarray, cfg: MleConfig) -> t
     objective = _neg_log_likelihood(effects)
     shape = (len(counts), 2 + cfg.starts)
     f, x, ok = np.full(shape, np.inf), np.zeros(shape + (2 * m,)), np.zeros(shape, dtype=bool)
+    x0 = np.zeros(shape + (2 * m,))                     # slot 0: the zero start
+    x0[:, 1] = np.clip(_linearized_theta(effects, weights), -bound, bound)
+
+    def descend(todo):
+        """One batch: the starts of the (row, slot) pairs where ``todo`` is set."""
+        if todo.any():
+            f[todo], x[todo], ok[todo] = _descend(objective, x0[todo],
+                                                  weights[np.nonzero(todo)[0]], cfg)
 
     def tie_tol(best):
         return 50.0 * cfg.tolerance * np.maximum(1.0, np.abs(best))
 
-    linearized = np.clip(_linearized_theta(effects, weights), -bound, bound)
-    x0 = np.stack([np.zeros_like(linearized), linearized], axis=1).reshape(-1, 2 * m)
-    found = _descend(objective, x0, np.repeat(weights, 2, axis=0), cfg)
-    f[:, :2], x[:, :2], ok[:, :2] = (a.reshape((-1, 2) + a.shape[1:]) for a in found)
-    retry = ((np.abs(f[:, 0] - f[:, 1]) > tie_tol(f[:, :2].min(axis=1)))
-             | on_chart_bound(x[:, :2]).any(axis=1))
+    slots = np.arange(shape[1])
+    descend(np.broadcast_to(slots == 1, shape))
+    pinned = on_chart_bound(x[:, 1])
+    fallback = pinned | ~ok[:, 1]
+    descend((fallback & ~pinned)[:, None] & (slots == 0))
+    retry = pinned | (fallback & ((np.abs(f[:, 0] - f[:, 1]) > tie_tol(f[:, :2].min(axis=1)))
+                                  | on_chart_bound(x[:, 0])))
     if retry.any():
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
         # per start: m uniform radii, then m uniform phases
         u = rng.uniform(size=(cfg.starts, 2, m))
         t = cfg.start_radius * np.sqrt(u[:, 0]) * np.exp(1j * (2.0 * np.pi * u[:, 1]))
-        starts = np.concatenate([t.real, t.imag], axis=1)
-        found = _descend(objective, np.tile(starts, (np.count_nonzero(retry), 1)),
-                         np.repeat(weights[retry], cfg.starts, axis=0), cfg)
-        f[retry, 2:], x[retry, 2:], ok[retry, 2:] = (
-            a.reshape((-1, cfg.starts) + a.shape[1:]) for a in found)
+        x0[:, 2:] = np.concatenate([t.real, t.imag], axis=1)
+        descend((pinned[:, None] & (slots == 0)) | (retry[:, None] & (slots >= 2)))
 
     best = f.min(axis=1)
     tied = f <= (best + tie_tol(best))[:, None]
@@ -295,7 +314,7 @@ def _estimate_rows(effects: np.ndarray, counts: np.ndarray, cfg: MleConfig) -> t
     amps = chart_amplitudes(theta)
     p = pure_probabilities(effects, amps)
     loglik = (counts * np.log(np.maximum(p, PROBABILITY_FLOOR))).sum(axis=1)
-    return (theta, loglik, 2 + cfg.starts * retry, tied.sum(axis=1), ok[pick],
+    return (theta, loglik, 1 + fallback + cfg.starts * retry, tied.sum(axis=1), ok[pick],
             on_chart_bound(x_star), amps)
 
 

@@ -99,6 +99,7 @@ class BootstrapResult:
     high: float
     degenerate: bool
     outcomes: dict                    # OUTCOMES -> count, of the point estimate and replicas
+    fallback_rows: int                # of those, estimates not decided by the linearized start
 
     def as_row(self) -> tuple:
         return (self.low, self.q25, self.median, self.q75, self.high)
@@ -110,11 +111,15 @@ class SweepResult:
     in its :class:`SweepError`'s ``partial``.
 
     ``outcomes`` sums the :data:`OUTCOMES` of every trial's point estimate
-    and bootstrap replicas; it is not part of the table.
+    and bootstrap replicas, and ``fallback_rows`` counts those estimates
+    whose linearized start did not decide (see
+    :func:`~pointtomo.estimator._estimate_rows`); neither is part of the
+    table.
     """
 
     rows: tuple                       # (n, trial, infidelity, boot_low, q25, median, q75, boot_high)
     outcomes: dict
+    fallback_rows: int
     workers: int                      # processes the sweep ran on
 
     COLUMNS = ("N", "trial", "infidelity", "boot_low", "boot_q25",
@@ -187,8 +192,9 @@ def _trials(state: DensityMatrix, povm: Povm, draws: list, mle: MleConfig,
 
     Returns per trial the point estimate's infidelity against ``state``
     (T,) and the replica infidelities' (low, q25, median, q75, high) (T, 5),
-    None without a bootstrap; and the tally of all trials, the
-    :data:`OUTCOMES` keyed by name.
+    None without a bootstrap; the tally of all trials, the :data:`OUTCOMES`
+    keyed by name; and the number of estimated rows that fell back from the
+    linearized start to the full search.
     """
     rows = []
     for counts, boot_rng in draws:
@@ -199,7 +205,7 @@ def _trials(state: DensityMatrix, povm: Povm, draws: list, mle: MleConfig,
     stack = np.concatenate(rows)
     blocks = [_estimate_rows(povm.effects, stack[start:start + _REPLICA_BLOCK], mle)
               for start in range(0, len(stack), _REPLICA_BLOCK)]
-    *_, converged, at_bound, amps = (np.concatenate(a) for a in zip(*blocks))
+    _, _, n_candidates, _, converged, at_bound, amps = (np.concatenate(a) for a in zip(*blocks))
     values = 1.0 - fidelities(amps, state)
     sizes = np.array([len(own) for own in rows])
     point = np.cumsum(sizes) - sizes
@@ -209,7 +215,7 @@ def _trials(state: DensityMatrix, povm: Povm, draws: list, mle: MleConfig,
                                 for flag in (at_bound, ~converged)]))
     own = point[:, None] + (sizes[:, None] > 1) * (1 + np.arange(n_boot))
     spread = np.quantile(values[own], [0, 0.25, 0.5, 0.75, 1], axis=1).T if n_boot else None
-    return values[point], spread, tally
+    return values[point], spread, tally, int(np.count_nonzero(n_candidates > 1))
 
 
 def bootstrap_infidelity(counts, povm, reference, n_boot: int, rng,
@@ -222,15 +228,17 @@ def bootstrap_infidelity(counts, povm, reference, n_boot: int, rng,
     :func:`~pointtomo.estimator.estimate_theta` would, and the infidelities
     of the replica estimates against ``reference`` (a DensityMatrix) are
     summarized. ``outcomes`` counts the point estimate of the counts and the
-    replica estimates on the bound or unconverged. Degenerate counts (a
-    single observed outcome) are estimated once, not resampled, and report
-    no replica estimates on the bound or unconverged.
+    replica estimates on the bound or unconverged, and ``fallback_rows``
+    those whose linearized start did not decide. Degenerate counts (a single
+    observed outcome) are estimated once, not resampled, and report no
+    replica estimates.
     """
     if n_boot < 10:
         raise InvalidInput("need n_boot >= 10")
     counts = check_counts(counts, povm.n_outcomes)
-    _, spread, tally = _trials(reference, povm, [(counts, rng)], cfg, n_boot)
-    return BootstrapResult(*spread[0].tolist(), bool(np.count_nonzero(counts) <= 1), tally)
+    _, spread, tally, fallbacks = _trials(reference, povm, [(counts, rng)], cfg, n_boot)
+    return BootstrapResult(*spread[0].tolist(), bool(np.count_nonzero(counts) <= 1), tally,
+                           fallbacks)
 
 
 def prepared_state(cfg: SweepConfig, dim: int) -> DensityMatrix:
@@ -271,22 +279,23 @@ def run_sweep(cfg: SweepConfig, povm: Povm, workers: int = 1) -> SweepResult:
     per_group = max(1, _REPLICA_BLOCK // (1 + cfg.n_boot))
     k = max(workers, -(-len(items) // per_group))   # number of groups
     groups = [items[g * len(items) // k:(g + 1) * len(items) // k] for g in range(k)]
-    rows, outcomes, done = [], dict.fromkeys(OUTCOMES, 0), 0
+    rows, outcomes, fallbacks, done = [], dict.fromkeys(OUTCOMES, 0), 0, 0
     try:
         with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
             # the built POVM and state travel to the workers with each group, unvalidated
-            for values, spread, tally in (pool.map if pool else map)(
+            for values, spread, tally, fell_back in (pool.map if pool else map)(
                     partial(_sweep_rows, povm, rho, cfg), groups):
                 boots = spread.tolist() if cfg.n_boot else [[np.nan] * 5] * len(values)
                 rows += [(float(n), float(t), value, *boot) for (_, n, t), value, boot
                          in zip(groups[done], values.tolist(), boots)]
                 outcomes = {name: outcomes[name] + tally[name] for name in OUTCOMES}
+                fallbacks += fell_back
                 done += 1
     except Exception as exc:
         failed = ", ".join(map(str, sorted({n for _, n, _ in groups[done]})))
         raise SweepError(f"sweep aborted: trials with N={failed} failed: {exc}",
-                         partial=SweepResult(tuple(rows), outcomes, workers)) from exc
-    return SweepResult(tuple(rows), outcomes, workers)
+                         partial=SweepResult(tuple(rows), outcomes, fallbacks, workers)) from exc
+    return SweepResult(tuple(rows), outcomes, fallbacks, workers)
 
 
 def expected_infidelity_floor(rho: DensityMatrix, povm: Povm) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -67,10 +68,11 @@ class TestSimulateCommand:
         runs = {
             "simulate": (["simulate", "--theta", "0.01", "--n-grid", "50,100", "--reps", "2",
                           "--seed", "4", "--mle-starts", "1", "--workers", "1"],
-                         {"rows", "workers", "stage_s", *OUTCOMES}, {"sweep", "write"}),
+                         {"rows", "workers", "stage_s", "fallback_rows", *OUTCOMES},
+                         {"sweep", "write"}),
             "bootstrap": (["bootstrap", "--counts", "40,30,20,5,3,1,1", "--theta", "0.01",
                            "--seed", "4", "--boot", "10"],
-                          {"resampling", "workers", "stage_s", *OUTCOMES},
+                          {"resampling", "workers", "stage_s", "fallback_rows", *OUTCOMES},
                           {"estimate", "write"}),
             "fisher": (["fisher", "--haar-baseline", "100"], {"workers", "stage_s"},
                        {"haar", "write"}),
@@ -174,6 +176,37 @@ class TestSimulateCommand:
             assert run_cli(*argv, "--out", str(out)) == 0
             meta = json.loads(out.with_suffix(".meta.json").read_text())
             assert {name: meta[name] for name in OUTCOMES} == outcomes
+
+    def test_sidecars_count_fallback_rows(self, tmp_path, monkeypatch, capsys, family_povm):
+        # N=100 at theta=0.2, lambda=0.987: the estimates whose linearized start
+        # did not decide, summed over the sweep's point estimates and replicas
+        out = tmp_path / "s.csv"
+        assert run_cli("simulate", "--theta", "0.2", "--lambda", "0.987", "--n-grid", "100",
+                       "--reps", "3", "--boot", "10", "--seed", "13", "--workers", "1",
+                       "--out", str(out)) == 0
+        meta = json.loads(out.with_suffix(".meta.json").read_text())
+        rho = depolarize(equal_deviation_state(0.2), 0.987)
+        probs = born_probabilities(family_povm, rho)
+        boots = [bootstrap_infidelity(sample_counts(probs, 100, trial_rng(13, 0, t)), family_povm,
+                                      rho, 10, trial_rng(13, 0, t, stream=1)) for t in range(3)]
+        assert meta["fallback_rows"] == sum(b.fallback_rows for b in boots) > 0
+        sim = SweepConfig(theta_scalar=0.2, n_grid=(100,), repetitions=3,
+                          noise=NoiseConfig(lam=0.987), seed=13, n_boot=10)
+        assert run_sweep(sim, povm=family_povm, workers=2).fallback_rows == meta["fallback_rows"]
+        assert run_cli("bootstrap", "--theta", "0.2", "--lambda", "0.987", "--n", "100",
+                       "--boot", "10", "--seed", "13", "--out", str(out)) == 0
+        assert json.loads(out.with_suffix(".meta.json").read_text())["fallback_rows"] == \
+            boots[0].fallback_rows
+        # a fallback is no failure: alone, it prints no note
+        capsys.readouterr()
+        sweep = cli.run_sweep
+        monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: dataclasses.replace(
+            sweep(*args, **kwargs), fallback_rows=5))
+        assert run_cli("simulate", "--theta", "0.01", "--n-grid", "1000", "--seed", "1",
+                       "--workers", "1", "--out", str(out)) == 0
+        meta = json.loads(out.with_suffix(".meta.json").read_text())
+        assert meta["fallback_rows"] == 5 and not any(meta[name] for name in OUTCOMES)
+        assert capsys.readouterr().err == ""
 
     def test_pinned_estimates_print_one_stderr_line(self, tmp_path, capsys):
         # N=100 and 1000 at theta=0.2, lambda=0.987: replicas end on the bound;
@@ -607,6 +640,27 @@ class TestOtherCommands:
         assert run_cli(command, str(table)) == 2
         assert capsys.readouterr() == (
             "", "configuration error: infidelities must be nonnegative and finite\n")
+
+    @pytest.mark.parametrize("command", ["fit", "report"])
+    def test_zero_infidelities_print_one_note_line(self, tmp_path, capsys, command):
+        # the fit leaves the zero points out, says so on one plain stderr line and
+        # gives the same output as on the table without them
+        header = "N,trial,infidelity,boot_low,boot_q25,boot_median,boot_q75,boot_high\n"
+        rows = ["100,0,0.05,nan,nan,nan,nan,nan\n", "100,1,0.03,nan,nan,nan,nan,nan\n",
+                "10000,0,0.0004,nan,nan,nan,nan,nan\n"]
+        zeros = ["1000,0,0,nan,nan,nan,nan,nan\n", "1000,1,0,nan,nan,nan,nan,nan\n"]
+        table = tmp_path / "zero.csv"
+        table.write_text(header + "".join(rows[:2] + zeros + rows[2:]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(command, str(table)) == 0
+        shown = capsys.readouterr()
+        assert shown.err == "note: excluding 2 zero-infidelity points from the fit\n"
+        line = next(text for text in shown.out.splitlines()
+                    if "coefficient" in text or "power-law" in text)
+        table.write_text(header + "".join(rows))
+        assert run_cli(command, str(table)) == 0
+        assert line in capsys.readouterr().out
 
     def test_fit_missing_file_is_config_error(self, tmp_path):
         assert run_cli("fit", str(tmp_path / "nope.csv")) == 2

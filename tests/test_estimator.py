@@ -1,3 +1,6 @@
+from dataclasses import dataclass
+from typing import ClassVar
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,14 @@ from pointtomo.states import (born_probabilities, depolarize, equal_deviation_st
                               fidelity, neighborhood_state, pure_probabilities)
 
 TIGHT = MleConfig(starts=16)
+
+
+@dataclass(frozen=True)
+class ShortDescent(MleConfig):
+    """Six steps per descent: some linearized starts stop unconverged inside
+    the chart box."""
+
+    max_iterations: ClassVar[int] = 6
 
 
 def exact_frequencies(povm, theta):
@@ -108,6 +119,37 @@ def newton_inputs(rng, eigenvalues):
     rows = len(eigenvalues)
     return (rng.uniform(-0.5, 0.5, (rows, 6)), rng.standard_normal((rows, 6)),
             symmetric_stack(rng, eigenvalues))
+
+
+def full_search(effects, counts, cfg):
+    """One row's estimate by the search of every start that a fallback row
+    runs: the zero and linearized starts descend together, the random starts
+    follow when those two end apart or on the bound, and the pick is the best
+    value, then the tied point closest to the fiducial, first in start order.
+    Returns (theta, log-likelihood, candidates, tied candidates, converged,
+    at-bound): the reference for the rows that fall back."""
+    m = effects.shape[1] - 1
+    weights = (counts / counts.sum())[None, :]
+    objective = _neg_log_likelihood(effects)
+    linearized = np.clip(estimator._linearized_theta(effects, weights), -cfg.chart_bound,
+                         cfg.chart_bound)
+    f, x, ok = estimator._descend(objective, np.vstack([np.zeros((1, 2 * m)), linearized]),
+                                  np.repeat(weights, 2, axis=0), cfg)
+    tol = 50.0 * cfg.tolerance * max(1.0, abs(f.min()))
+    if abs(f[0] - f[1]) > tol or estimator.on_chart_bound(x).any():
+        u = np.random.default_rng(np.random.SeedSequence(cfg.seed)).uniform(size=(cfg.starts, 2, m))
+        t = cfg.start_radius * np.sqrt(u[:, 0]) * np.exp(1j * (2.0 * np.pi * u[:, 1]))
+        found = estimator._descend(objective, np.concatenate([t.real, t.imag], axis=1),
+                                   np.repeat(weights, cfg.starts, axis=0), cfg)
+        f, x, ok = (np.concatenate(pair) for pair in zip((f, x, ok), found))
+    best = f.min()
+    tied = f <= best + 50.0 * cfg.tolerance * max(1.0, abs(best))
+    pick = np.where(tied, (x[:, None, :] @ x[:, :, None])[:, 0, 0], np.inf).argmin()
+    theta = x[pick, :m] + 1j * x[pick, m:]
+    p = pure_probabilities(effects, neighborhood_state(theta).amps[None, :])[0]
+    loglik = (counts * np.log(np.maximum(p, PROBABILITY_FLOOR))).sum()
+    return (theta, loglik, len(f), np.count_nonzero(tied), ok[pick],
+            bool(estimator.on_chart_bound(x[pick])))
 
 
 def pinned_probabilities(family_povm):
@@ -316,7 +358,7 @@ class TestStartPolicy:
             for t in range(cfg.repetitions):
                 counts = sample_counts(probs, n, trial_rng(cfg.seed, i, t))
                 res = estimate_theta(counts, family_povm, cfg.mle)
-                assert res.n_candidates == 2 and res.converged and not res.at_bound, (n, t)
+                assert res.n_candidates == 1 and res.converged and not res.at_bound, (n, t)
 
 
 class TestEstimateRows:
@@ -345,6 +387,39 @@ class TestEstimateRows:
                     res.at_bound) == tuple(column[row].item() for column in whole[1:6])
             assert np.array_equal(res.state.amps, whole[6][row])
             assert np.array_equal(res.state.amps, neighborhood_state(res.theta).amps)
+
+    @pytest.mark.parametrize("cfg", [MleConfig(starts=4), ShortDescent(starts=4)],
+                             ids=["default", "short-descent"])
+    def test_fallback_rows_run_the_full_search_bit_for_bit(self, family_povm, cfg):
+        # the stack above: a row whose linearized start ends off the bound and
+        # converged is decided there; every other row runs the search of all
+        # its starts and ends where that search ends, bit for bit. Only the
+        # short descents leave linearized starts unconverged off the bound,
+        # rows whose zero start descends before their retry test
+        rho = depolarize(equal_deviation_state(0.2), 0.987)
+        counts = np.random.default_rng(60).multinomial(
+            100, born_probabilities(family_povm, rho), size=24).astype(float)
+        theta, loglik, n_candidates, n_tied, converged, at_bound, _ = \
+            estimator._estimate_rows(family_povm.effects, counts, cfg)
+        weights = counts / counts.sum(axis=1, keepdims=True)
+        linearized = np.clip(estimator._linearized_theta(family_povm.effects, weights),
+                             -cfg.chart_bound, cfg.chart_bound)
+        _, lin_x, lin_ok = estimator._descend(_neg_log_likelihood(family_povm.effects),
+                                              linearized, weights, cfg)
+        pinned = estimator.on_chart_bound(lin_x)
+        fallback = ~lin_ok | pinned
+        assert 0 < np.count_nonzero(fallback) < len(counts)
+        assert (fallback & ~pinned).any() == isinstance(cfg, ShortDescent)
+        assert np.array_equal(n_candidates > 1, fallback)
+        for row in np.flatnonzero(fallback):
+            want_theta, *want = full_search(family_povm.effects, counts[row], cfg)
+            assert np.array_equal(theta[row], want_theta), row
+            assert (loglik[row], n_candidates[row], n_tied[row], converged[row],
+                    at_bound[row]) == tuple(want), row
+        decided = ~fallback
+        assert np.all(n_candidates[decided] == 1) and np.all(n_tied[decided] == 1)
+        assert np.all(converged[decided]) and not at_bound[decided].any()
+        assert np.array_equal(theta[decided], lin_x[decided, :3] + 1j * lin_x[decided, 3:])
 
     def test_empty_stack_gives_empty_columns(self, family_povm):
         theta, *rest, amps = estimator._estimate_rows(family_povm.effects, np.empty((0, 7)),

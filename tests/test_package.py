@@ -92,7 +92,7 @@ def test_estimate_theta_calls_pure_probabilities(monkeypatch, family_povm):
     monkeypatch.setattr(estimator, "_neg_log_likelihood", counting)
     estimator.estimate_theta(np.array([40, 30, 20, 5, 3, 1, 1]), family_povm,
                              MleConfig(starts=1))
-    assert evaluations[0] == 2
+    assert evaluations[0] == 1
     assert len(calls) == len(evaluations) + 1
 
 
