@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .assets import format_matrix_text
 from .errors import InvalidInput, PointTomoError
-from .estimator import MleConfig, fit_power_law
+from .estimator import fit_power_law
 from .fisher import (NORM_KINDS, asymptotic_infidelity_coefficient, c_matrix, c_norm,
                      cfim_first_order, gill_massar_wmse, gm_inequality_lhs, qfim_pure)
 from .io import atomic_write_text, config_hash, read_sweep_table, sweep_table_text
@@ -195,7 +195,6 @@ def _sweep_config(args) -> SweepConfig:
         noise=NoiseConfig(lam=args.lam),
         seed=args.seed,
         n_boot=args.boot,
-        mle=MleConfig(starts=args.mle_starts),
     )
 
 
@@ -230,8 +229,7 @@ def cmd_bootstrap(args) -> int:
     else:
         counts = sample_counts(born_probabilities(povm, rho), args.n, trial_rng(args.seed, 0, 0))
     start = time.perf_counter()
-    res = bootstrap_infidelity(counts, povm, rho, args.boot, trial_rng(args.seed, 0, 0, stream=1),
-                               MleConfig(starts=args.mle_starts))
+    res = bootstrap_infidelity(counts, povm, rho, args.boot, trial_rng(args.seed, 0, 0, stream=1))
     estimate_s = time.perf_counter() - start
     lines = ["boot_low,boot_q25,boot_median,boot_q75,boot_high,degenerate",
              ",".join(repr(v) for v in res.as_row()) + f",{int(res.degenerate)}"]
@@ -240,7 +238,8 @@ def cmd_bootstrap(args) -> int:
     _note_outcomes(res.outcomes)
     _write_run(args, table, extra={"resampling": "empirical-frequencies", "workers": 1,
                                    **res.outcomes, "fallback_rows": res.fallback_rows,
-                                   "stage_s": {"estimate": estimate_s}})
+                                   "stage_s": {"estimate": estimate_s}},
+               unhashed=("n",) if args.counts is not None else ())
     return 0
 
 
@@ -311,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="depolarizing weight of the preparation (1 = noiseless)")
         p.add_argument("--seed", type=_seed, required=True)
         p.add_argument("--boot", type=int, default=0, help="bootstrap replicas per trial")
-        p.add_argument("--mle-starts", type=int, default=8)
 
     p = sub.add_parser("simulate", help="run an infidelity-vs-N sweep")
     add_sim_args(p)

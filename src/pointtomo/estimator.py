@@ -6,16 +6,15 @@ iteration on the closed-form gradient and Hessian. It starts from a
 linearized inversion of the observed frequencies, which is close to the
 optimum for a state near the fiducial one. Where that start's descent
 converges off the chart bound, its end is the estimate. Only the other
-rows fall back to a search: from the fiducial point too and, when those two
-end at different optima or on the chart bound, from random draws inside
-the trust region. Among the starts a row descends, the best likelihood
-wins; among numerically tied optima the point closest to the fiducial
-state is returned, which is the resolution appropriate to estimation in a
-trusted neighborhood (a handful of outcomes cannot distinguish all pure
-states globally). A decided row searches no further: at N = 100 its
-linearized end is now and then a local optimum that the full search would
-beat (3 of the 80,800 estimates of the README's paper-scale grid), and a tie
-it would have found goes to the linearized end.
+rows fall back to a search, one batch of starts from the fiducial point and
+from random draws inside the trust region. Among the starts a row descends,
+the best likelihood wins; among numerically tied optima the point closest
+to the fiducial state is returned, which is the resolution appropriate to
+estimation in a trusted neighborhood (a handful of outcomes cannot
+distinguish all pure states globally). A decided row searches no further:
+at N = 100 its linearized end is now and then a local optimum that the full
+search would beat (3 of the 80,800 estimates of the README's paper-scale
+grid), and a tie it would have found goes to the linearized end.
 
 The descent runs on a stack of starts, each row with its own outcome
 weights: one objective call evaluates every running row, and each row keeps
@@ -47,17 +46,12 @@ from .validation import check_counts
 class MleConfig:
     """Optimizer settings for :func:`estimate_state`."""
 
-    starts: int = 8                   # random starts of the fallback rows that retry
-
+    starts: ClassVar[int] = 8             # random starts of a fallback row
     tolerance: ClassVar[float] = 1e-10    # max-abs projected gradient at convergence
     max_iterations: ClassVar[int] = 100
     start_radius: ClassVar[float] = 0.3   # |theta_j| bound for random starts
     chart_bound: ClassVar[float] = 0.6    # box bound on Re/Im of each theta_j
     seed: ClassVar[int] = 0               # start draws are a function of the config only
-
-    def __post_init__(self):
-        if self.starts < 1:
-            raise InvalidInput("starts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -259,14 +253,9 @@ def _estimate_rows(effects: np.ndarray, counts: np.ndarray, cfg: MleConfig) -> t
 
     The linearized start of every row descends first, one batch of R rows.
     A row whose linearized end passes the convergence test off the chart
-    bound is decided there. Only the other rows fall back to the full
-    search: their zero start (the fiducial point), and cfg.starts random
-    starts for those whose two fixed starts end at different optima or on
-    the chart bound; the random starts are a function of the config only,
-    the same for every row. A linearized end on the bound retries whatever
-    the zero start finds, so the zero start of such a row descends in one
-    batch with the random starts; only the zero starts of the other
-    fallback rows descend in a batch of their own, before the retry test.
+    bound is decided there. Only the other rows fall back to the search, a
+    second batch: their zero start (the fiducial point) and cfg.starts
+    random starts, a function of the config only, the same for every row.
     The optimum is chosen over (rows, candidates) arrays, slot 0 the zero
     start, slot 1 the linearized start, then the random starts, +inf in the
     slots that did not run: the best value, then the tied point closest to
@@ -287,26 +276,19 @@ def _estimate_rows(effects: np.ndarray, counts: np.ndarray, cfg: MleConfig) -> t
             f[todo], x[todo], ok[todo] = _descend(objective, x0[todo],
                                                   weights[np.nonzero(todo)[0]], cfg)
 
-    def tie_tol(best):
-        return 50.0 * cfg.tolerance * np.maximum(1.0, np.abs(best))
-
     slots = np.arange(shape[1])
     descend(np.broadcast_to(slots == 1, shape))
-    pinned = on_chart_bound(x[:, 1])
-    fallback = pinned | ~ok[:, 1]
-    descend((fallback & ~pinned)[:, None] & (slots == 0))
-    retry = pinned | (fallback & ((np.abs(f[:, 0] - f[:, 1]) > tie_tol(f[:, :2].min(axis=1)))
-                                  | on_chart_bound(x[:, 0])))
-    if retry.any():
+    fallback = on_chart_bound(x[:, 1]) | ~ok[:, 1]
+    if fallback.any():
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
         # per start: m uniform radii, then m uniform phases
         u = rng.uniform(size=(cfg.starts, 2, m))
         t = cfg.start_radius * np.sqrt(u[:, 0]) * np.exp(1j * (2.0 * np.pi * u[:, 1]))
         x0[:, 2:] = np.concatenate([t.real, t.imag], axis=1)
-        descend((pinned[:, None] & (slots == 0)) | (retry[:, None] & (slots >= 2)))
+        descend(fallback[:, None] & (slots != 1))
 
     best = f.min(axis=1)
-    tied = f <= (best + tie_tol(best))[:, None]
+    tied = f <= (best + 50.0 * cfg.tolerance * np.maximum(1.0, np.abs(best)))[:, None]
     norm2 = (x[:, :, None, :] @ x[:, :, :, None])[:, :, 0, 0]       # x @ x, by dot
     pick = (np.arange(len(f)), np.where(tied, norm2, np.inf).argmin(axis=1))
     x_star = x[pick]
@@ -314,7 +296,7 @@ def _estimate_rows(effects: np.ndarray, counts: np.ndarray, cfg: MleConfig) -> t
     amps = chart_amplitudes(theta)
     p = pure_probabilities(effects, amps)
     loglik = (counts * np.log(np.maximum(p, PROBABILITY_FLOOR))).sum(axis=1)
-    return (theta, loglik, 1 + fallback + cfg.starts * retry, tied.sum(axis=1), ok[pick],
+    return (theta, loglik, 1 + (1 + cfg.starts) * fallback, tied.sum(axis=1), ok[pick],
             on_chart_bound(x_star), amps)
 
 

@@ -23,6 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
+from typing import ClassVar
 
 import numpy as np
 
@@ -74,7 +75,7 @@ class SweepConfig:
     noise: NoiseConfig = NoiseConfig()
     seed: int = 0
     n_boot: int = 0
-    mle: MleConfig = MleConfig()
+    mle: ClassVar[MleConfig] = MleConfig()
 
     def __post_init__(self):
         grid = tuple(int(n) for n in self.n_grid)
@@ -154,7 +155,8 @@ def perturb_effects(povm: Povm, epsilon: float, rng) -> Povm:
     H is a fixed random Hermitian matrix with GUE normalization drawn from
     ``rng``; the rotation is unitary, so completeness is preserved. The
     phase convention is re-fixed afterwards. epsilon = 0 returns the input
-    unchanged. A sweep's misalignment is this rotation applied by the caller;
+    unchanged, and an epsilon whose angles epsilon * eig(H) overflow is
+    rejected. A sweep's misalignment is this rotation applied by the caller;
     ``simulate --epsilon`` draws it from the master seed's root stream.
     """
     if not (np.isfinite(epsilon) and epsilon >= 0):
@@ -165,7 +167,12 @@ def perturb_effects(povm: Povm, epsilon: float, rng) -> Povm:
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = 0.5 * (g + g.conj().T)
     lam, vec = np.linalg.eigh(h)
-    u = (vec * np.exp(1j * epsilon * lam)) @ vec.conj().T
+    with np.errstate(over="ignore"):
+        angles = epsilon * lam
+    if not np.all(np.isfinite(angles)):
+        raise InvalidInput(f"epsilon {epsilon} is too large: epsilon times an eigenvalue of H "
+                           "overflows")
+    u = (vec * np.exp(1j * angles)) @ vec.conj().T
     return Povm(gauge_fix_effects(povm.effects @ u.T))
 
 
@@ -305,5 +312,5 @@ def expected_infidelity_floor(rho: DensityMatrix, povm: Povm) -> float:
     the preparation is noisy or sits outside the exactly identifiable
     neighborhood.
     """
-    estimate = estimate_state(born_probabilities(povm, rho), povm, MleConfig(starts=16))
+    estimate = estimate_state(born_probabilities(povm, rho), povm)
     return 1.0 - fidelity(estimate, rho)

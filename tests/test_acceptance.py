@@ -10,7 +10,7 @@ import numpy as np
 
 from conftest import WINNER, disk_theta, reference_tables
 from pointtomo.cli import main as cli_main
-from pointtomo.estimator import MleConfig, estimate_state, fit_power_law
+from pointtomo.estimator import estimate_state, fit_power_law
 from pointtomo.fisher import (cfim_first_order, cfim_numeric,
                               gm_inequality_lhs, qfim_pure)
 from pointtomo.povm import (available_cores, effects_from_family, enumerate_families,
@@ -178,12 +178,11 @@ def test_criterion_10_plateau_reproduction(family_povm):
 
 def test_criterion_11_estimator_consistency(family_povm):
     rng = np.random.default_rng(777)
-    cfg = MleConfig(starts=16)
     worst = 0.0
     for _ in range(100):
         theta = disk_theta(rng, 3, 0.3)
         freqs = pure_probabilities(family_povm.effects, neighborhood_state(theta).amps)
-        est = estimate_state(freqs, family_povm, cfg)
+        est = estimate_state(freqs, family_povm)
         infid = 1.0 - np.abs(np.vdot(est.amps, neighborhood_state(theta).amps)) ** 2
         worst = max(worst, infid)
     report(11, worst < 1e-6,
@@ -192,13 +191,13 @@ def test_criterion_11_estimator_consistency(family_povm):
 
 def test_criterion_12_determinism(tmp_path):
     args = ["simulate", "--theta", "0.01", "--n-grid", "100,1000", "--reps", "3",
-            "--boot", "12", "--seed", "606", "--mle-starts", "4"]
+            "--boot", "12", "--seed", "606"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert cli_main(args + ["--out", str(a)]) == 0
     assert cli_main(args + ["--out", str(b)]) == 0
     sim_ok = a.read_bytes() == b.read_bytes()
     boot_args = ["bootstrap", "--theta", "0.1", "--n", "500", "--boot", "20",
-                 "--seed", "17", "--mle-starts", "4"]
+                 "--seed", "17"]
     c, d = tmp_path / "c.csv", tmp_path / "d.csv"
     assert cli_main(boot_args + ["--out", str(c)]) == 0
     assert cli_main(boot_args + ["--out", str(d)]) == 0

@@ -16,7 +16,6 @@ from pointtomo import povm as povm_module
 from pointtomo.cli import main
 from pointtomo.fisher import asymptotic_infidelity_coefficient
 from pointtomo.io import atomic_write_text, read_sweep_table, sweep_table_text
-from pointtomo.estimator import MleConfig
 from pointtomo.povm import HAAR_BLOCK, available_cores, effects_from_family
 from pointtomo.simulate import (OUTCOMES, NoiseConfig, SweepConfig, SweepResult,
                                 bootstrap_infidelity, expected_infidelity_floor, perturb_effects,
@@ -31,7 +30,7 @@ def run_cli(*argv):
 class TestSimulateCommand:
     def test_byte_identical_reruns(self, tmp_path):
         args = ["simulate", "--theta", "0.01", "--n-grid", "50,100", "--reps", "2",
-                "--seed", "5", "--mle-starts", "3"]
+                "--seed", "5"]
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(*args, "--out", str(out1)) == 0
         assert run_cli(*args, "--out", str(out2)) == 0
@@ -52,7 +51,7 @@ class TestSimulateCommand:
     def test_metadata_sidecar(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run_cli("simulate", "--theta", "0.01", "--n-grid", "60", "--reps", "1",
-                       "--seed", "9", "--mle-starts", "3", "--out", str(out)) == 0
+                       "--seed", "9", "--out", str(out)) == 0
         meta = json.loads((tmp_path / "sweep.meta.json").read_text())
         assert meta["seed"] == 9
         assert meta["rows"] == 1
@@ -67,7 +66,7 @@ class TestSimulateCommand:
         sweep = tmp_path / "s.csv"
         runs = {
             "simulate": (["simulate", "--theta", "0.01", "--n-grid", "50,100", "--reps", "2",
-                          "--seed", "4", "--mle-starts", "1", "--workers", "1"],
+                          "--seed", "4", "--workers", "1"],
                          {"rows", "workers", "stage_s", "fallback_rows", *OUTCOMES},
                          {"sweep", "write"}),
             "bootstrap": (["bootstrap", "--counts", "40,30,20,5,3,1,1", "--theta", "0.01",
@@ -89,10 +88,13 @@ class TestSimulateCommand:
 
     def test_seed_required(self, capsys):
         # a missing --seed, --epsilon on bootstrap, which never reads it, and the
-        # deleted --raw-device
+        # deleted --raw-device and --mle-starts
         for argv in (["simulate", "--theta", "0.01", "--n-grid", "50"],
                      ["bootstrap", "--theta", "0.01", "--seed", "4", "--epsilon", "0.3"],
-                     ["design", "--raw-device"]):
+                     ["design", "--raw-device"],
+                     ["simulate", "--theta", "0.01", "--n-grid", "50", "--seed", "4",
+                      "--mle-starts", "4"],
+                     ["bootstrap", "--theta", "0.01", "--seed", "4", "--mle-starts", "4"]):
             with pytest.raises(SystemExit) as excinfo:
                 run_cli(*argv)
             assert excinfo.value.code == 2
@@ -113,11 +115,14 @@ class TestSimulateCommand:
         assert digest(*design, "--seed", "0") == digest(*design, "--seed", "5")
         assert json.loads((tmp_path / "t.meta.json").read_text())["seed"] == 5
         assert digest(*design, "--starts", "0") == digest(*design, "--starts", "32")
-        boot = ("bootstrap", "--counts", "40,30,20,5,3,1,1", "--seed", "4", "--boot", "10",
-                "--mle-starts", "1")
+        boot = ("bootstrap", "--counts", "40,30,20,5,3,1,1", "--seed", "4", "--boot", "10")
         assert digest(*boot, "--theta", "0.01") != digest(*boot, "--theta", "0.2")
-        sim = ("simulate", "--theta", "0.01", "--n-grid", "50", "--reps", "2", "--seed", "4",
-               "--mle-starts", "1")
+        # --n does not change a table of given --counts
+        assert digest(*boot, "--theta", "0.01", "--n", "1000") == \
+            digest(*boot, "--theta", "0.01", "--n", "5000")
+        boot = ("bootstrap", "--theta", "0.01", "--seed", "4", "--boot", "10")
+        assert digest(*boot, "--n", "1000") != digest(*boot, "--n", "5000")
+        sim = ("simulate", "--theta", "0.01", "--n-grid", "50", "--reps", "2", "--seed", "4")
         assert (digest(*sim, "--workers", "1", name="a.csv")
                 == digest(*sim, "--workers", "2", name="b.csv"))
 
@@ -126,7 +131,7 @@ class TestSimulateCommand:
         # point estimates end on the chart bound
         out = tmp_path / "plateau.csv"
         assert run_cli("simulate", "--theta", "0.2", "--lambda", "0.987", "--n-grid", "1000",
-                       "--reps", "12", "--seed", "13", "--mle-starts", "4", "--workers", "1",
+                       "--reps", "12", "--seed", "13", "--workers", "1",
                        "--out", str(out)) == 0
         meta = json.loads((tmp_path / "plateau.meta.json").read_text())
         assert meta["estimates_at_bound"] == 2
@@ -240,8 +245,7 @@ class TestSimulateCommand:
     def test_sidecar_records_workers_and_stage_times(self, tmp_path):
         # 64 requested workers run as 2, one per work item; neither key is hashed
         # or changes the table
-        sim = ("simulate", "--theta", "0.01", "--n-grid", "50", "--reps", "2", "--seed", "4",
-               "--mle-starts", "1")
+        sim = ("simulate", "--theta", "0.01", "--n-grid", "50", "--reps", "2", "--seed", "4")
         tables, hashes = [], []
         for workers in (1, 64):
             out = tmp_path / f"w{workers}.csv"
@@ -262,8 +266,7 @@ class TestSimulateCommand:
     def test_library_sweep_matches_cli(self, capsys, device):
         # the CLI measures the family under a misalignment drawn from the
         # seed's root stream
-        cfg = SweepConfig(theta_scalar=0.01, n_grid=(500,), repetitions=3, seed=7,
-                          mle=MleConfig(starts=2))
+        cfg = SweepConfig(theta_scalar=0.01, n_grid=(500,), repetitions=3, seed=7)
         cases = [((), (4, 5, 6, 7), None),
                  (("--subset", "1,3,5,7", "--phases", "0,0.3,1.1,2.0"), (1, 3, 5, 7),
                   (0, 0.3, 1.1, 2.0))]
@@ -272,7 +275,7 @@ class TestSimulateCommand:
                                    np.random.default_rng(np.random.SeedSequence(7)))
             table = sweep_table_text(run_sweep(cfg, povm))
             assert run_cli("simulate", "--theta", "0.01", "--n-grid", "500", "--reps", "3",
-                           "--seed", "7", "--epsilon", "0.05", "--mle-starts", "2",
+                           "--seed", "7", "--epsilon", "0.05",
                            "--workers", "1", *family) == 0
             assert capsys.readouterr().out == table
 
@@ -298,7 +301,7 @@ class TestSimulateCommand:
         assert run_cli(*command, "--theta", "0.37", "--seed", "1", "--out", str(out)) == 2
         assert "chart bound" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
-        assert run_cli(*command, "--theta", "0.3", "--boot", "10", "--mle-starts", "1",
+        assert run_cli(*command, "--theta", "0.3", "--boot", "10",
                        "--seed", "1", "--out", str(out)) == 0
         assert out.exists()
 
@@ -310,6 +313,18 @@ class TestSimulateCommand:
         assert "epsilon must be finite and >= 0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_epsilon_is_config_error(self, tmp_path, capsys):
+        # finite, but epsilon * eig(H) overflows: one message naming epsilon, no
+        # numpy warning
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("simulate", "--theta", "0.01", "--n-grid", "1000", "--seed", "1",
+                           "--epsilon", "1e308", "--out", str(out)) == 2
+        assert capsys.readouterr().err == ("configuration error: epsilon 1e+308 is too large: "
+                                           "epsilon times an eigenvalue of H overflows\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_epsilon_message_names_the_flag(self, capsys):
         assert run_cli("simulate", "--theta", "0.01", "--n-grid", "100", "--seed", "3",
                        "--epsilon", "-1") == 2
@@ -319,7 +334,7 @@ class TestSimulateCommand:
     def test_plot_output(self, tmp_path):
         out, svg = tmp_path / "s.csv", tmp_path / "s.svg"
         assert run_cli("simulate", "--theta", "0.01", "--n-grid", "50,200", "--reps", "2",
-                       "--seed", "3", "--mle-starts", "3",
+                       "--seed", "3",
                        "--out", str(out), "--plot", str(svg)) == 0
         text = svg.read_text()
         assert text.startswith("<svg") and "</svg>" in text
@@ -332,7 +347,7 @@ class TestSimulateCommand:
         monkeypatch.setattr(cli, "sweep_plot_svg", lambda table, **model: drawn.append(model)
                             or "<svg/>")
         assert run_cli("simulate", "--theta", "0.2", "--lambda", "0.987", "--epsilon", "0.3",
-                       "--n-grid", "1000", "--reps", "1", "--seed", "3", "--mle-starts", "1",
+                       "--n-grid", "1000", "--reps", "1", "--seed", "3",
                        "--workers", "1", "--out", str(tmp_path / "s.csv"),
                        "--plot", str(tmp_path / "s.svg")) == 0
         measured = perturb_effects(family_povm, 0.3,
@@ -438,7 +453,7 @@ class TestOtherCommands:
     def test_bootstrap_command(self, tmp_path, capsys):
         out = tmp_path / "boot.csv"
         assert run_cli("bootstrap", "--theta", "0.01", "--n", "400", "--boot", "12",
-                       "--seed", "4", "--mle-starts", "3", "--out", str(out)) == 0
+                       "--seed", "4", "--out", str(out)) == 0
         lines = out.read_text().splitlines()
         assert lines[0].startswith("boot_low,")
         values = [float(tok) for tok in lines[1].split(",")[:5]]
@@ -446,12 +461,12 @@ class TestOtherCommands:
 
     def test_bootstrap_with_literal_counts(self, capsys):
         assert run_cli("bootstrap", "--theta", "0.01", "--counts", "40,30,20,5,3,1,1",
-                       "--boot", "10", "--seed", "4", "--mle-starts", "3") == 0
+                       "--boot", "10", "--seed", "4") == 0
 
     def test_fit_and_report_roundtrip(self, tmp_path, capsys):
         table = tmp_path / "sweep.csv"
         assert run_cli("simulate", "--theta", "0.01", "--n-grid", "100,1000,10000",
-                       "--reps", "4", "--seed", "8", "--mle-starts", "4",
+                       "--reps", "4", "--seed", "8",
                        "--out", str(table)) == 0
         assert run_cli("fit", str(table)) == 0
         fit = json.loads(capsys.readouterr().out)
@@ -478,7 +493,7 @@ class TestOtherCommands:
         tables = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for table in tables:
             assert run_cli("simulate", "--theta", "0.01", "--n-grid", "100,1000", "--reps", "2",
-                           "--seed", "8", "--mle-starts", "2", "--out", str(table)) == 0
+                           "--seed", "8", "--out", str(table)) == 0
 
         def record(*argv):
             out = tmp_path / "out.txt"
@@ -501,7 +516,7 @@ class TestOtherCommands:
         monkeypatch.chdir(tmp_path)
         table = tmp_path / "s.csv"
         assert run_cli("simulate", "--theta", "0.01", "--n-grid", "100,1000", "--reps", "2",
-                       "--seed", "8", "--mle-starts", "2", "--out", str(table)) == 0
+                       "--seed", "8", "--out", str(table)) == 0
         files = {path: path.read_bytes() for path in tmp_path.iterdir()}
         plot = ("--plot", str(tmp_path / "s.svg")) if command == "report" else ()
         for out in ("s.json", "s.csv", "./s.txt", "s.meta.json"):
@@ -517,7 +532,7 @@ class TestOtherCommands:
         # the input table, its sidecar, --out and the --out sidecar are all refused
         monkeypatch.chdir(tmp_path)
         assert run_cli("simulate", "--theta", "0.01", "--n-grid", "100,1000", "--reps", "2",
-                       "--seed", "8", "--mle-starts", "2", "--out", "t.csv") == 0
+                       "--seed", "8", "--out", "t.csv") == 0
         files = {path: path.read_bytes() for path in tmp_path.iterdir()}
         capsys.readouterr()
         assert run_cli("report", "t.csv", "--out", "r.txt", "--plot", plot) == 2
@@ -531,7 +546,7 @@ class TestOtherCommands:
         # refused before the sweep runs: no table, sidecar or plot is written
         monkeypatch.chdir(tmp_path)
         assert run_cli("simulate", "--theta", "0.01", "--n-grid", "50", "--seed", "1",
-                       "--mle-starts", "2", "--out", "s.csv", "--plot", plot) == 2
+                       "--out", "s.csv", "--plot", plot) == 2
         assert "--plot" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
@@ -609,7 +624,7 @@ class TestOtherCommands:
         # a single ensemble size leaves the power law's slope undetermined
         table = tmp_path / "p.csv"
         assert run_cli("simulate", "--theta", "0.01", "--n-grid", "100", "--reps", "2",
-                       "--seed", "8", "--mle-starts", "2", "--out", str(table)) == 0
+                       "--seed", "8", "--out", str(table)) == 0
         files = set(tmp_path.iterdir())
         plot = ("--plot", str(tmp_path / "r.svg")) if command == "report" else ()
         capsys.readouterr()
@@ -623,7 +638,7 @@ class TestOtherCommands:
         # the Gill-Massar column (d - 1)/N needs a qudit, d >= 2
         table = tmp_path / "t.csv"
         assert run_cli("simulate", "--theta", "0.01", "--n-grid", "100,1000", "--reps", "2",
-                       "--seed", "8", "--mle-starts", "2", "--out", str(table)) == 0
+                       "--seed", "8", "--out", str(table)) == 0
         files = set(tmp_path.iterdir())
         capsys.readouterr()
         assert run_cli("report", str(table), "--dim", dim, "--out", str(tmp_path / "r.txt"),

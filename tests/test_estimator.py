@@ -16,9 +16,6 @@ from pointtomo.simulate import (NoiseConfig, SweepConfig, bootstrap_infidelity, 
 from pointtomo.states import (born_probabilities, depolarize, equal_deviation_state,
                               fidelity, neighborhood_state, pure_probabilities)
 
-TIGHT = MleConfig(starts=16)
-
-
 @dataclass(frozen=True)
 class ShortDescent(MleConfig):
     """Six steps per descent: some linearized starts stop unconverged inside
@@ -123,25 +120,21 @@ def newton_inputs(rng, eigenvalues):
 
 def full_search(effects, counts, cfg):
     """One row's estimate by the search of every start that a fallback row
-    runs: the zero and linearized starts descend together, the random starts
-    follow when those two end apart or on the bound, and the pick is the best
-    value, then the tied point closest to the fiducial, first in start order.
-    Returns (theta, log-likelihood, candidates, tied candidates, converged,
-    at-bound): the reference for the rows that fall back."""
+    runs: the zero, linearized and random starts descend together, and the
+    pick is the best value, then the tied point closest to the fiducial,
+    first in start order. Returns (theta, log-likelihood, candidates, tied
+    candidates, converged, at-bound): the reference for the rows that fall
+    back."""
     m = effects.shape[1] - 1
     weights = (counts / counts.sum())[None, :]
-    objective = _neg_log_likelihood(effects)
     linearized = np.clip(estimator._linearized_theta(effects, weights), -cfg.chart_bound,
                          cfg.chart_bound)
-    f, x, ok = estimator._descend(objective, np.vstack([np.zeros((1, 2 * m)), linearized]),
-                                  np.repeat(weights, 2, axis=0), cfg)
-    tol = 50.0 * cfg.tolerance * max(1.0, abs(f.min()))
-    if abs(f[0] - f[1]) > tol or estimator.on_chart_bound(x).any():
-        u = np.random.default_rng(np.random.SeedSequence(cfg.seed)).uniform(size=(cfg.starts, 2, m))
-        t = cfg.start_radius * np.sqrt(u[:, 0]) * np.exp(1j * (2.0 * np.pi * u[:, 1]))
-        found = estimator._descend(objective, np.concatenate([t.real, t.imag], axis=1),
-                                   np.repeat(weights, cfg.starts, axis=0), cfg)
-        f, x, ok = (np.concatenate(pair) for pair in zip((f, x, ok), found))
+    u = np.random.default_rng(np.random.SeedSequence(cfg.seed)).uniform(size=(cfg.starts, 2, m))
+    t = cfg.start_radius * np.sqrt(u[:, 0]) * np.exp(1j * (2.0 * np.pi * u[:, 1]))
+    starts = np.vstack([np.zeros((1, 2 * m)), linearized,
+                        np.concatenate([t.real, t.imag], axis=1)])
+    f, x, ok = estimator._descend(_neg_log_likelihood(effects), starts,
+                                  np.repeat(weights, len(starts), axis=0), cfg)
     best = f.min()
     tied = f <= best + 50.0 * cfg.tolerance * max(1.0, abs(best))
     pick = np.where(tied, (x[:, None, :] @ x[:, :, None])[:, 0, 0], np.inf).argmin()
@@ -163,7 +156,7 @@ class TestEstimateState:
         for _ in range(20):
             theta = disk_theta(rng, 3, 0.3)
             freqs = exact_frequencies(family_povm, theta)
-            est = estimate_state(freqs, family_povm, TIGHT)
+            est = estimate_state(freqs, family_povm)
             infid = 1.0 - np.abs(np.vdot(est.amps, neighborhood_state(theta).amps)) ** 2
             assert infid < 1e-6
 
@@ -183,8 +176,8 @@ class TestEstimateState:
         counts = rng.multinomial(2000, exact_frequencies(family_povm, disk_theta(rng, 3, 0.1)))
         perm = rng.permutation(family_povm.n_outcomes)
         permuted_povm = Povm(family_povm.effects[perm])
-        est_a = estimate_state(counts, family_povm, TIGHT)
-        est_b = estimate_state(counts[perm], permuted_povm, TIGHT)
+        est_a = estimate_state(counts, family_povm)
+        est_b = estimate_state(counts[perm], permuted_povm)
         overlap = np.abs(np.vdot(est_a.amps, est_b.amps)) ** 2
         assert overlap == pytest.approx(1.0, abs=1e-9)
 
@@ -192,7 +185,7 @@ class TestEstimateState:
         rng = np.random.default_rng(777)
         for _ in range(10):
             freqs = exact_frequencies(family_povm, disk_theta(rng, 3, 0.3))
-            assert estimate_theta(freqs, family_povm, TIGHT).converged
+            assert estimate_theta(freqs, family_povm).converged
 
     def test_all_zero_counts_rejected(self, family_povm):
         with pytest.raises(InvalidInput):
@@ -322,6 +315,12 @@ class TestNewtonDirection:
 
 
 class TestStartPolicy:
+    def test_settings_are_constants(self):
+        # a test that needs other settings subclasses MleConfig, as ShortDescent does
+        with pytest.raises(TypeError):
+            MleConfig(starts=16)
+        assert ShortDescent().starts == MleConfig.starts == 8
+
     def test_pinned_estimate_is_flagged(self, family_povm):
         res = estimate_theta(pinned_probabilities(family_povm), family_povm)
         assert res.at_bound
@@ -339,8 +338,8 @@ class TestStartPolicy:
             return result
 
         monkeypatch.setattr(estimator, "_descend", recording)
-        cfg = MleConfig(starts=6)
-        res = estimate_theta(pinned_probabilities(family_povm), family_povm, cfg)
+        cfg = MleConfig()
+        res = estimate_theta(pinned_probabilities(family_povm), family_povm)
         assert res.n_candidates == len(runs) == 2 + cfg.starts
         best = min(f for f, _, _ in runs)
         tied = [x for f, x, _ in runs if f <= best + 50.0 * cfg.tolerance * max(1.0, abs(best))]
@@ -352,7 +351,7 @@ class TestStartPolicy:
         # the N >= 1e4 trials of test_simulate's test_plateau_monotone_and_floored;
         # at N = 1e3, 2 of its 12 trials end on the chart bound
         cfg = SweepConfig(theta_scalar=0.2, n_grid=(1000, 10_000, 100_000), repetitions=12,
-                          noise=NoiseConfig(lam=0.987), seed=13, mle=MleConfig(starts=4))
+                          noise=NoiseConfig(lam=0.987), seed=13)
         probs = born_probabilities(family_povm, prepared_state(cfg, family_povm.dim))
         for i, n in enumerate(cfg.n_grid[1:], start=1):
             for t in range(cfg.repetitions):
@@ -368,7 +367,7 @@ class TestEstimateRows:
         rho = depolarize(equal_deviation_state(0.2), 0.987)
         counts = np.random.default_rng(60).multinomial(
             100, born_probabilities(family_povm, rho), size=24).astype(float)
-        cfg = MleConfig(starts=4)
+        cfg = MleConfig()
         whole = estimator._estimate_rows(family_povm.effects, counts, cfg)
         assert [len(column) for column in whole] == [24] * 7
         assert whole[2].max() == 2 + cfg.starts and whole[5].any()
@@ -388,14 +387,14 @@ class TestEstimateRows:
             assert np.array_equal(res.state.amps, whole[6][row])
             assert np.array_equal(res.state.amps, neighborhood_state(res.theta).amps)
 
-    @pytest.mark.parametrize("cfg", [MleConfig(starts=4), ShortDescent(starts=4)],
+    @pytest.mark.parametrize("cfg", [MleConfig(), ShortDescent()],
                              ids=["default", "short-descent"])
     def test_fallback_rows_run_the_full_search_bit_for_bit(self, family_povm, cfg):
         # the stack above: a row whose linearized start ends off the bound and
         # converged is decided there; every other row runs the search of all
         # its starts and ends where that search ends, bit for bit. Only the
         # short descents leave linearized starts unconverged off the bound,
-        # rows whose zero start descends before their retry test
+        # rows that search as a pinned row does
         rho = depolarize(equal_deviation_state(0.2), 0.987)
         counts = np.random.default_rng(60).multinomial(
             100, born_probabilities(family_povm, rho), size=24).astype(float)
@@ -437,7 +436,7 @@ class TestBootstrap:
             rng = np.random.default_rng(15)
             counts = rng.multinomial(n, probs)
             res = bootstrap_infidelity(counts, family_povm, rho, 30,
-                                       np.random.default_rng(16), MleConfig(starts=4))
+                                       np.random.default_rng(16))
             spreads[n] = res.high - res.low
         assert spreads[100_000] < spreads[100]
 
@@ -457,9 +456,9 @@ class TestBootstrap:
         trials = 20
         for _ in range(trials):
             counts = rng.multinomial(1000, probs)
-            est = estimate_state(counts, family_povm, MleConfig(starts=4))
+            est = estimate_state(counts, family_povm)
             point = 1.0 - fidelity(est, rho)
-            res = bootstrap_infidelity(counts, family_povm, rho, 50, rng, MleConfig(starts=4))
+            res = bootstrap_infidelity(counts, family_povm, rho, 50, rng)
             hits += res.low <= point <= res.high
         assert hits >= int(0.9 * trials)
 
@@ -467,8 +466,7 @@ class TestBootstrap:
         rho = depolarize(equal_deviation_state(0.1), 0.987)
         counts = np.random.default_rng(18).multinomial(
             500, born_probabilities(family_povm, rho))
-        res = bootstrap_infidelity(counts, family_povm, rho, 40, np.random.default_rng(19),
-                                   MleConfig(starts=4))
+        res = bootstrap_infidelity(counts, family_povm, rho, 40, np.random.default_rng(19))
         assert res.low <= res.q25 <= res.median <= res.q75 <= res.high
 
     @pytest.mark.parametrize("n", [100, 10_000])

@@ -17,7 +17,6 @@ import numpy as np
 
 import pointtomo
 from pointtomo import cli, estimator, povm, simulate
-from pointtomo.estimator import MleConfig
 from pointtomo.simulate import SweepConfig
 
 
@@ -90,8 +89,7 @@ def test_estimate_theta_calls_pure_probabilities(monkeypatch, family_povm):
         return counted
 
     monkeypatch.setattr(estimator, "_neg_log_likelihood", counting)
-    estimator.estimate_theta(np.array([40, 30, 20, 5, 3, 1, 1]), family_povm,
-                             MleConfig(starts=1))
+    estimator.estimate_theta(np.array([40, 30, 20, 5, 3, 1, 1]), family_povm)
     assert evaluations[0] == 1
     assert len(calls) == len(evaluations) + 1
 
@@ -100,8 +98,7 @@ def test_run_sweep_calls_estimator_through_simulate(monkeypatch, family_povm):
     # point estimates and bootstrap replicas of every trial are estimated
     # together: a sweep that fits in one block is one batched call
     batches = count_calls(monkeypatch, simulate, "_estimate_rows")
-    cfg = SweepConfig(theta_scalar=0.01, n_grid=(100, 1000), repetitions=2, seed=1, n_boot=10,
-                      mle=MleConfig(starts=1))
+    cfg = SweepConfig(theta_scalar=0.01, n_grid=(100, 1000), repetitions=2, seed=1, n_boot=10)
     simulate.run_sweep(cfg, povm=family_povm, workers=1)
     assert len(batches) == 1
 
@@ -117,7 +114,7 @@ def test_cli_calls_through_its_module_names(monkeypatch, capsys):
     designs = count_calls(monkeypatch, cli, "optimize_phases")
     baselines = count_calls(monkeypatch, cli, "haar_mean_c_norm")
     assert cli.main(["simulate", "--theta", "0.01", "--n-grid", "50", "--seed", "1",
-                     "--mle-starts", "1", "--workers", "1"]) == 0
+                     "--workers", "1"]) == 0
     assert cli.main(["design", "--starts", "0"]) == 0
     assert cli.main(["fisher", "--haar-baseline", "100"]) == 0
     assert sweeps and designs and baselines

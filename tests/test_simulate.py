@@ -3,6 +3,7 @@ import pytest
 
 import pointtomo.simulate as sim
 from conftest import dft_columns
+from pointtomo import estimator
 from pointtomo.cli import main
 from pointtomo.errors import InvalidInput, SweepError
 from pointtomo.estimator import MleConfig, estimate_theta
@@ -188,6 +189,22 @@ class TestRunTrial:
         floor = expected_infidelity_floor(rho, family_povm)
         assert 0.003 < floor < 0.03
 
+    @pytest.mark.parametrize("theta, lam", [(0.2, 0.987), (0.1, 0.95), (0.2, 0.5)])
+    def test_floor_estimate_is_decided_by_the_linearized_start(self, family_povm,
+                                                              monkeypatch, theta, lam):
+        # exact probabilities, also of a mixed truth, never fall back to the search
+        candidates = []
+        estimate_rows = estimator._estimate_rows
+
+        def recording(*args):
+            columns = estimate_rows(*args)
+            candidates.extend(columns[2].tolist())
+            return columns
+
+        monkeypatch.setattr(estimator, "_estimate_rows", recording)
+        expected_infidelity_floor(depolarize(equal_deviation_state(theta), lam), family_povm)
+        assert candidates == [1]
+
 
 @pytest.fixture(scope="module")
 def phased_family_povm(device):
@@ -229,7 +246,7 @@ class TestAsymptoticCoefficient:
 
 class TestRunSweep:
     CFG = SweepConfig(theta_scalar=0.01, n_grid=(200, 2000), repetitions=4,
-                      noise=NoiseConfig(lam=1.0), seed=42, mle=MleConfig(starts=4))
+                      noise=NoiseConfig(lam=1.0), seed=42)
 
     def test_determinism_bitwise(self, family_povm):
         t1 = sweep_table_text(run_sweep(self.CFG, family_povm))
@@ -249,7 +266,7 @@ class TestRunSweep:
 
     def test_bootstrap_columns_ordered(self, family_povm):
         cfg = SweepConfig(theta_scalar=0.01, n_grid=(300,), repetitions=2,
-                          seed=7, n_boot=15, mle=MleConfig(starts=3))
+                          seed=7, n_boot=15)
         arr = run_sweep(cfg, povm=family_povm).as_array()
         low, q25, med, q75, high = arr[:, 3], arr[:, 4], arr[:, 5], arr[:, 6], arr[:, 7]
         assert np.all(low <= q25 + 1e-15)
@@ -259,7 +276,7 @@ class TestRunSweep:
 
     def test_plateau_monotone_and_floored(self, family_povm):
         cfg = SweepConfig(theta_scalar=0.2, n_grid=(1000, 10_000, 100_000), repetitions=12,
-                          noise=NoiseConfig(lam=0.987), seed=13, mle=MleConfig(starts=4))
+                          noise=NoiseConfig(lam=0.987), seed=13)
         res = run_sweep(cfg, povm=family_povm, workers=2)
         # 2 of the 12 point estimates at N=1e3 end on the chart bound, none at
         # larger N; the counts stay out of the table
@@ -301,16 +318,14 @@ class TestRunSweep:
 
     def test_log_slope_of_means_is_inverse_n(self, family_povm):
         cfg = SweepConfig(theta_scalar=0.01, n_grid=(100, 1000, 10_000, 100_000),
-                          repetitions=60, noise=NoiseConfig(lam=1.0), seed=29,
-                          mle=MleConfig(starts=6))
+                          repetitions=60, noise=NoiseConfig(lam=1.0), seed=29)
         means = run_sweep(cfg, povm=family_povm, workers=2).mean_infidelity()
         ns = np.array(sorted(means))
         slope = np.polyfit(np.log(ns), np.log([means[n] for n in ns]), 1)[0]
         assert -1.1 < slope < -0.9
 
     def test_pool_is_capped_at_the_work_items(self, family_povm, pool_sizes):
-        cfg = SweepConfig(theta_scalar=0.01, n_grid=(50, 100), repetitions=2, seed=1,
-                          mle=MleConfig(starts=1))
+        cfg = SweepConfig(theta_scalar=0.01, n_grid=(50, 100), repetitions=2, seed=1)
         serial = run_sweep(cfg, povm=family_povm, workers=1)
         assert pool_sizes == []
         assert run_sweep(cfg, povm=family_povm, workers=64).rows == serial.rows
@@ -339,8 +354,7 @@ class TestRunSweep:
         # blocks of 2 rows: the second group, trials 2 and 3, fails
         self.fail_second_batch(monkeypatch)
         monkeypatch.setattr(sim, "_REPLICA_BLOCK", 2)
-        cfg = SweepConfig(theta_scalar=0.01, n_grid=(50,), repetitions=4, seed=1,
-                          mle=MleConfig(starts=2))
+        cfg = SweepConfig(theta_scalar=0.01, n_grid=(50,), repetitions=4, seed=1)
         with pytest.raises(SweepError) as excinfo:
             run_sweep(cfg, family_povm)
         assert len(excinfo.value.partial.rows) == 2
@@ -348,8 +362,7 @@ class TestRunSweep:
 
     def test_pool_error_keeps_the_groups_before_it(self, family_povm, monkeypatch, pool_sizes):
         # two workers, two groups: the N=100 group fails after the N=50 group
-        cfg = SweepConfig(theta_scalar=0.01, n_grid=(50, 100), repetitions=2, seed=1,
-                          mle=MleConfig(starts=1))
+        cfg = SweepConfig(theta_scalar=0.01, n_grid=(50, 100), repetitions=2, seed=1)
         serial = run_sweep(cfg, povm=family_povm, workers=1)
         self.fail_second_batch(monkeypatch)
         with pytest.raises(SweepError) as excinfo:
@@ -366,8 +379,7 @@ class TestRunSweep:
         # 7-row batches: 12 point estimates go in two groups of 6 trials; a
         # trial with 10 replicas is a group of its own, estimated as 7 + 4 rows
         cfg = SweepConfig(theta_scalar=0.2, n_grid=(100, 1000, 10_000), repetitions=4,
-                          noise=NoiseConfig(lam=0.987), seed=5, n_boot=n_boot,
-                          mle=MleConfig(starts=2))
+                          noise=NoiseConfig(lam=0.987), seed=5, n_boot=n_boot)
         whole = run_sweep(cfg, povm=family_povm)
         batches = []
         original = sim._estimate_rows
@@ -390,8 +402,7 @@ class TestRunSweep:
             assert all(np.array_equal(b[0], counts) for b, counts in zip(batches[::2], trials))
 
     def test_systematic_epsilon_changes_results(self, family_povm):
-        cfg = SweepConfig(theta_scalar=0.01, n_grid=(500,), repetitions=3, seed=3,
-                          mle=MleConfig(starts=3))
+        cfg = SweepConfig(theta_scalar=0.01, n_grid=(500,), repetitions=3, seed=3)
         bent = perturb_effects(family_povm, 0.05,
                                np.random.default_rng(np.random.SeedSequence(cfg.seed)))
         t_base = run_sweep(cfg, family_povm).as_array()[:, 2]
@@ -427,8 +438,7 @@ class TestRunSweep:
 
     def test_rows_are_run_trial_results(self, family_povm):
         cfg = SweepConfig(theta_scalar=0.2, n_grid=(300, 3000), repetitions=2,
-                          noise=NoiseConfig(lam=0.987), seed=11, n_boot=10,
-                          mle=MleConfig(starts=2))
+                          noise=NoiseConfig(lam=0.987), seed=11, n_boot=10)
         rho = prepared_state(cfg, family_povm.dim)
         expected = []
         for i, n in enumerate(cfg.n_grid):
@@ -471,8 +481,7 @@ class TestRunSweep:
         per_sweep = []
         for reps in (1, 4):
             built.clear()
-            cfg = SweepConfig(theta_scalar=0.01, n_grid=(100,), repetitions=reps, seed=3,
-                              mle=MleConfig(starts=1))
+            cfg = SweepConfig(theta_scalar=0.01, n_grid=(100,), repetitions=reps, seed=3)
             run_sweep(cfg, povm=family_povm, workers=1)
             per_sweep.append(len(built))
         assert per_sweep[0] == per_sweep[1]
@@ -484,3 +493,6 @@ class TestRunSweep:
             SweepConfig(theta_scalar=0.01, n_grid=(100,), repetitions=0)
         with pytest.raises(InvalidInput):
             NoiseConfig(lam=1.2)
+        # the estimator's settings are constants, not sweep parameters
+        with pytest.raises(TypeError):
+            SweepConfig(theta_scalar=0.01, n_grid=(100,), repetitions=1, mle=MleConfig())
