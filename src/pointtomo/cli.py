@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -204,7 +205,9 @@ def cmd_simulate(args) -> int:
     # the misalignment is drawn from the master seed's root stream
     povm = perturb_effects(_family_povm(args), args.epsilon,
                            np.random.default_rng(np.random.SeedSequence(args.seed)))
-    result = run_sweep(cfg, povm, workers=args.workers)
+    # the affinity mask is read per run, never frozen into the cached parser
+    workers = available_cores() if args.workers is None else args.workers
+    result = run_sweep(cfg, povm, workers=workers)
     sweep_s = time.perf_counter() - start
     table = sweep_table_text(result)
     _note_outcomes(result.outcomes)
@@ -222,6 +225,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_bootstrap(args) -> int:
     check_theta_scalar(args.theta)
+    if args.counts is None and args.n < 1:
+        raise InvalidInput(f"--n must be >= 1, got {args.n}")
     povm = _family_povm(args)
     rho = depolarize(equal_deviation_state(args.theta, povm.dim), args.lam)
     if args.counts is not None:
@@ -318,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", type=_parse_ints, required=True,
                    help="comma separated ensemble sizes, increasing")
     p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--workers", type=int, default=available_cores(),
+    p.add_argument("--workers", type=int, default=None,
                    help="parallel trial workers (default: available cores)")
     p.add_argument("--out")
     p.add_argument("--plot")
@@ -347,8 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built at its first call and kept for the
+    process: parsing leaves a parser as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_paths(args)
         code = args.func(args)

@@ -24,9 +24,11 @@ positive definite, most of them; only the other rows are eigendecomposed.
 A sweep or a bootstrap (:mod:`pointtomo.simulate`) descends the starts of
 all its trials and replicas together and gets its estimates as arrays;
 :func:`estimate_theta` is the one-row case, and the only place that builds
-an :class:`MleResult`. Every per-row sum is taken elementwise and every
-choice of path is made from the row's own values, so a row's estimate does
-not depend on its stack: it equals :func:`estimate_theta`'s bit for bit.
+an :class:`MleResult`. Every per-row sum is taken elementwise or by an
+``np.einsum`` contraction left at ``optimize=False``, which loops in C and
+never reaches BLAS, and every choice of path is made from the row's own
+values, so a row's estimate does not depend on its stack: it equals
+:func:`estimate_theta`'s bit for bit.
 """
 
 from __future__ import annotations
@@ -109,10 +111,14 @@ def _neg_log_likelihood(effects: np.ndarray):
                    + W (2 I / s - 4 x x^T / s^2).
 
     Outcomes at the probability floor contribute a constant to the value and
-    nothing to the gradient or Hessian. Every sum over outcomes or
-    coordinates is an elementwise product summed along an axis, never a BLAS
-    product, so a row's result has the same bits in any stack. The Hessian
-    is formed on its lower triangle and mirrored, so it is exactly symmetric.
+    nothing to the gradient or Hessian. The curvature sum is two
+    ``np.einsum`` contractions over the outcomes, sum_e (w_e / |z_e|^4)
+    u_e u_e^T and sum_e (w_e / |z_e|^2) G_e, with ``optimize`` left at its
+    default (False): einsum then loops in C and never hands the product to
+    BLAS, whose blocking could depend on the stack. Every other sum is an
+    elementwise product summed along an axis, so a row's result has the same
+    bits in any stack. The Hessian is taken on its lower triangle and
+    mirrored, so it is exactly symmetric.
     """
     m = effects.shape[1] - 1
     conj_effects = effects.conj()
@@ -125,6 +131,7 @@ def _neg_log_likelihood(effects: np.ndarray):
     mirror = np.empty((2 * m, 2 * m), dtype=int)
     mirror[low_i, low_j] = mirror[low_j, low_i] = np.arange(len(low_i))
     mirror = mirror.ravel()
+    low_flat = 2 * m * low_i + low_j                                  # (i, j) in a raveled (2m, 2m)
 
     def objective(x, weights):
         v = np.concatenate([np.ones((len(x), 1)), x[:, :m] + 1j * x[:, m:]], axis=1)
@@ -138,8 +145,8 @@ def _neg_log_likelihood(effects: np.ndarray):
         u = 2.0 * np.concatenate([q.real, -q.imag], axis=2)              # (B, K, 2m)
         total = w.sum(axis=1)[:, None]
         grad = (2.0 * total / s[:, None]) * x - (r[:, :, None] * u).sum(axis=1)
-        curvature = ((r / z2)[:, :, None] * u[:, :, low_i] * u[:, :, low_j]
-                     - r[:, :, None] * gram_low).sum(axis=1)
+        curvature = (np.einsum("bki,bkj->bij", (r / z2)[:, :, None] * u, u)
+                     .reshape(len(x), -1)[:, low_flat] - np.einsum("bk,kl->bl", r, gram_low))
         hess_low = curvature + total * ((2.0 / s)[:, None] * eye_low
                                         - (4.0 / s ** 2)[:, None] * x[:, low_i] * x[:, low_j])
         hess = hess_low[:, mirror].reshape(len(x), 2 * m, 2 * m)

@@ -36,17 +36,44 @@ class TestSimulateCommand:
         assert run_cli(*args, "--out", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_workers_default_to_the_affinity_mask(self, monkeypatch):
+    def test_workers_default_to_the_affinity_mask(self, monkeypatch, capsys):
+        # the default is read when simulate runs, not when main's parser is built
+        requested = []
+
+        def one_process_sweep(cfg, povm, workers):
+            requested.append(workers)
+            return run_sweep(cfg, povm, workers=1)
+
+        monkeypatch.setattr(cli, "run_sweep", one_process_sweep)
+        argv = ["simulate", "--theta", "0.01", "--n-grid", "50", "--seed", "1"]
+        assert cli.build_parser().parse_args(argv).workers is None
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert run_cli(*argv) == 0
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         assert available_cores() == 3
-        argv = ["simulate", "--theta", "0.01", "--n-grid", "50", "--seed", "1"]
-        assert cli.build_parser().parse_args(argv).workers == 3
+        assert run_cli(*argv) == 0
+        assert run_cli(*argv, "--workers", "2") == 0
+        assert requested == [1, 3, 2]
         # where the platform has no affinity call, the count of all cores
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
         assert available_cores() == 5
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert available_cores() == 1
+
+    def test_runs_in_one_process_do_not_share_state(self, tmp_path, capsys):
+        # main keeps one parser for the process: a simulate run, a bootstrap run
+        # and the same simulate run again give the same tables
+        sim = ["simulate", "--theta", "0.2", "--lambda", "0.987", "--n-grid", "100,1000",
+               "--reps", "2", "--boot", "10", "--seed", "6", "--workers", "1"]
+        first, again, boot = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "boot.csv"
+        assert run_cli(*sim, "--out", str(first)) == 0
+        assert run_cli("bootstrap", "--theta", "0.01", "--n", "300", "--boot", "12", "--seed", "6",
+                       "--subset", "1,3,5,7", "--out", str(boot)) == 0
+        assert run_cli(*sim, "--out", str(again)) == 0
+        assert first.read_bytes() == again.read_bytes()
+        meta = [json.loads(p.with_suffix(".meta.json").read_text()) for p in (first, again)]
+        assert meta[0]["config_hash"] == meta[1]["config_hash"]
 
     def test_metadata_sidecar(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -458,6 +485,15 @@ class TestOtherCommands:
         assert lines[0].startswith("boot_low,")
         values = [float(tok) for tok in lines[1].split(",")[:5]]
         assert values == sorted(values)
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_bootstrap_n_below_one_names_the_flag(self, tmp_path, capsys, n):
+        # without --counts, the simulated trial needs at least one copy
+        out = tmp_path / "boot.csv"
+        assert run_cli("bootstrap", "--theta", "0.01", "--seed", "1", "--n", n,
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"configuration error: --n must be >= 1, got {n}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_bootstrap_with_literal_counts(self, capsys):
         assert run_cli("bootstrap", "--theta", "0.01", "--counts", "40,30,20,5,3,1,1",

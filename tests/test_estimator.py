@@ -67,10 +67,10 @@ def below_floor_point(family_povm):
     return objective, x, h
 
 
-def outer_product_hessian(effects, x, weights):
-    """The objective's Hessian with its curvature formed as the full (K, 2m, 2m)
-    stack of outer products per outcome, summed over outcomes: the reference
-    for the lower-triangle form of :func:`_neg_log_likelihood`."""
+def outer_product_parts(effects, x, weights):
+    """The objective's Hessian as the full (B, K, 2m, 2m) stacks of per-outcome
+    terms c_e u_e u_e^T and r_e G_e, and the (B, 2m, 2m) term of the norm s,
+    built by broadcasting alone: the parts of :func:`outer_product_hessian`."""
     m = effects.shape[1] - 1
     conj_effects = effects.conj()
     jac = np.concatenate([conj_effects[:, 1:], 1j * conj_effects[:, 1:]], axis=1)
@@ -84,11 +84,19 @@ def outer_product_hessian(effects, x, weights):
     q = (conj_effects * v[:, None, :]).sum(axis=2).conj()[:, :, None] * conj_effects[:, 1:]
     u = 2.0 * np.concatenate([q.real, -q.imag], axis=2)
     total = w.sum(axis=1)[:, None]
-    curvature = ((r / z2)[:, :, None, None] * u[:, :, :, None] * u[:, :, None, :]
-                 - r[:, :, None, None] * gram).sum(axis=1)
-    return curvature + total[:, :, None] * (
-        (2.0 / s)[:, None, None] * np.eye(2 * m)
-        - (4.0 / s ** 2)[:, None, None] * x[:, :, None] * x[:, None, :])
+    outer = (r / z2)[:, :, None, None] * u[:, :, :, None] * u[:, :, None, :]
+    norm_term = total[:, :, None] * ((2.0 / s)[:, None, None] * np.eye(2 * m)
+                                     - (4.0 / s ** 2)[:, None, None] * x[:, :, None] * x[:, None, :])
+    return outer, r[:, :, None, None] * gram, norm_term
+
+
+def outer_product_hessian(effects, x, weights):
+    """The objective's Hessian with its curvature summed over outcomes one
+    outcome at a time, from :func:`outer_product_parts`: the independent
+    reference for the contracted lower-triangle form of
+    :func:`_neg_log_likelihood`."""
+    outer, gram_term, norm_term = outer_product_parts(effects, x, weights)
+    return (outer - gram_term).sum(axis=1) + norm_term
 
 
 def eigen_direction(x, grad, hess, bound):
@@ -233,7 +241,36 @@ class TestObjectiveHessian:
         hess = _neg_log_likelihood(family_povm.effects)(x, weights)[2]
         assert np.array_equal(hess, hess.transpose(0, 2, 1))
         reference = outer_product_hessian(family_povm.effects, x, weights)
-        assert np.array_equal(hess[:, low[0], low[1]], reference[:, low[0], low[1]])
+        # The two forms take the same products and sum them over the K outcomes
+        # in different orders: each sum is within (K - 1) u of its magnitude
+        # sum S (u = eps / 2), a difference and the norm term's addition within
+        # u each. So they differ by at most (K + 2) eps (S + |norm term|).
+        outer, gram_term, norm_term = outer_product_parts(family_povm.effects, x, weights)
+        magnitude = (np.abs(outer) + np.abs(gram_term)).sum(axis=1) + np.abs(norm_term)
+        limit = (outer.shape[1] + 2) * np.finfo(float).eps * magnitude
+        assert np.all(np.abs(hess - reference)[:, low[0], low[1]] <= limit[:, low[0], low[1]])
+
+
+class TestObjectiveStack:
+    @pytest.mark.parametrize("rows", [1, 2, 7, 8, 9, 132, 256, 1023])
+    def test_rows_have_the_same_bits_in_any_stack(self, family_povm, rows):
+        # a row's value, gradient and Hessian do not depend on the stack it is
+        # evaluated in: the property that keeping every contraction off BLAS protects
+        rng = np.random.default_rng(26)
+        bound = MleConfig().chart_bound
+        x = rng.uniform(-bound, bound, (1024, 6))
+        floored = below_floor_point(family_povm)[1]
+        x[::9] = floored                                     # outcome 3 at the probability floor
+        x[4::9] = floored + rng.uniform(-1e-3, 1e-3, x[4::9].shape)     # and just off it
+        weights = rng.dirichlet(np.ones(7), len(x))
+        weights[::5, 3] = 0.0
+        objective = _neg_log_likelihood(family_povm.effects)
+        full = objective(x, weights)
+        # leading, offset, trailing and strided views of the stack
+        for rows_of in (slice(0, rows), slice(1, 1 + rows), slice(1024 - rows, None),
+                        slice(rows % 3, rows % 3 + 3 * rows, 3)):
+            for part, whole in zip(objective(x[rows_of], weights[rows_of]), full):
+                assert np.array_equal(part, whole[rows_of])
 
 
 class TestNewtonDirection:
