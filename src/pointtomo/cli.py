@@ -217,6 +217,7 @@ def cmd_simulate(args) -> int:
         model_coefficient=asymptotic_infidelity_coefficient(povm))
     _write_run(args, table, extra={"rows": len(result.rows), "workers": result.workers,
                                    **result.outcomes, "fallback_rows": result.fallback_rows,
+                                   "objective_rows": result.objective_rows,
                                    "stage_s": {"sweep": sweep_s}}, svg=svg)
     if not args.out:
         sys.stdout.write(table)
@@ -243,6 +244,7 @@ def cmd_bootstrap(args) -> int:
     _note_outcomes(res.outcomes)
     _write_run(args, table, extra={"resampling": "empirical-frequencies", "workers": 1,
                                    **res.outcomes, "fallback_rows": res.fallback_rows,
+                                   "objective_rows": res.objective_rows,
                                    "stage_s": {"estimate": estimate_s}},
                unhashed=("n",) if args.counts is not None else ())
     return 0

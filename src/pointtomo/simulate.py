@@ -100,7 +100,8 @@ class BootstrapResult:
     high: float
     degenerate: bool
     outcomes: dict                    # OUTCOMES -> count, of the point estimate and replicas
-    fallback_rows: int                # of those, estimates not decided by the linearized start
+    fallback_rows: int                # of those, estimates not decided by the refined start
+    objective_rows: int               # objective evaluations of all those estimates
 
     def as_row(self) -> tuple:
         return (self.low, self.q25, self.median, self.q75, self.high)
@@ -112,15 +113,16 @@ class SweepResult:
     in its :class:`SweepError`'s ``partial``.
 
     ``outcomes`` sums the :data:`OUTCOMES` of every trial's point estimate
-    and bootstrap replicas, and ``fallback_rows`` counts those estimates
-    whose linearized start did not decide (see
-    :func:`~pointtomo.estimator._estimate_rows`); neither is part of the
-    table.
+    and bootstrap replicas, ``fallback_rows`` counts those estimates whose
+    refined start did not decide, and ``objective_rows`` sums their
+    objective evaluations (see :func:`~pointtomo.estimator._estimate_rows`);
+    none is part of the table.
     """
 
     rows: tuple                       # (n, trial, infidelity, boot_low, q25, median, q75, boot_high)
     outcomes: dict
     fallback_rows: int
+    objective_rows: int
     workers: int                      # processes the sweep ran on
 
     COLUMNS = ("N", "trial", "infidelity", "boot_low", "boot_q25",
@@ -146,6 +148,11 @@ def sample_counts(probs, n: int, rng) -> np.ndarray:
     n = int(n)
     if n < 0:
         raise InvalidInput("ensemble size must be >= 0")
+    return _draw_counts(probs, n, rng)
+
+
+def _draw_counts(probs: np.ndarray, n: int, rng) -> np.ndarray:
+    """:func:`sample_counts`'s draw, of probabilities already validated."""
     return rng.multinomial(n, probs / probs.sum())
 
 
@@ -200,8 +207,9 @@ def _trials(state: DensityMatrix, povm: Povm, draws: list, mle: MleConfig,
     Returns per trial the point estimate's infidelity against ``state``
     (T,) and the replica infidelities' (low, q25, median, q75, high) (T, 5),
     None without a bootstrap; the tally of all trials, the :data:`OUTCOMES`
-    keyed by name; and the number of estimated rows that fell back from the
-    linearized start to the full search.
+    keyed by name; the number of estimated rows that fell back from the
+    refined start to the full search; and the objective evaluations of all
+    the estimated rows.
     """
     rows = []
     for counts, boot_rng in draws:
@@ -212,7 +220,8 @@ def _trials(state: DensityMatrix, povm: Povm, draws: list, mle: MleConfig,
     stack = np.concatenate(rows)
     blocks = [_estimate_rows(povm.effects, stack[start:start + _REPLICA_BLOCK], mle)
               for start in range(0, len(stack), _REPLICA_BLOCK)]
-    _, _, n_candidates, _, converged, at_bound, amps = (np.concatenate(a) for a in zip(*blocks))
+    _, _, n_candidates, _, converged, at_bound, evaluations, amps = (
+        np.concatenate(a) for a in zip(*blocks))
     values = 1.0 - fidelities(amps, state)
     sizes = np.array([len(own) for own in rows])
     point = np.cumsum(sizes) - sizes
@@ -222,7 +231,8 @@ def _trials(state: DensityMatrix, povm: Povm, draws: list, mle: MleConfig,
                                 for flag in (at_bound, ~converged)]))
     own = point[:, None] + (sizes[:, None] > 1) * (1 + np.arange(n_boot))
     spread = np.quantile(values[own], [0, 0.25, 0.5, 0.75, 1], axis=1).T if n_boot else None
-    return values[point], spread, tally, int(np.count_nonzero(n_candidates > 1))
+    return (values[point], spread, tally, int(np.count_nonzero(n_candidates > 1)),
+            int(evaluations.sum()))
 
 
 def bootstrap_infidelity(counts, povm, reference, n_boot: int, rng,
@@ -235,17 +245,19 @@ def bootstrap_infidelity(counts, povm, reference, n_boot: int, rng,
     :func:`~pointtomo.estimator.estimate_theta` would, and the infidelities
     of the replica estimates against ``reference`` (a DensityMatrix) are
     summarized. ``outcomes`` counts the point estimate of the counts and the
-    replica estimates on the bound or unconverged, and ``fallback_rows``
-    those whose linearized start did not decide. Degenerate counts (a single
+    replica estimates on the bound or unconverged, ``fallback_rows`` those
+    whose refined start did not decide, and ``objective_rows`` their
+    objective evaluations. Degenerate counts (a single
     observed outcome) are estimated once, not resampled, and report no
     replica estimates.
     """
     if n_boot < 10:
         raise InvalidInput("need n_boot >= 10")
     counts = check_counts(counts, povm.n_outcomes)
-    _, spread, tally, fallbacks = _trials(reference, povm, [(counts, rng)], cfg, n_boot)
+    _, spread, tally, fallbacks, evaluations = _trials(reference, povm, [(counts, rng)], cfg,
+                                                       n_boot)
     return BootstrapResult(*spread[0].tolist(), bool(np.count_nonzero(counts) <= 1), tally,
-                           fallbacks)
+                           fallbacks, evaluations)
 
 
 def prepared_state(cfg: SweepConfig, dim: int) -> DensityMatrix:
@@ -255,9 +267,10 @@ def prepared_state(cfg: SweepConfig, dim: int) -> DensityMatrix:
 
 def _sweep_rows(povm: Povm, rho: DensityMatrix, cfg: SweepConfig, group) -> tuple:
     """:func:`_trials` on the draws of each (grid index, N, trial) in
-    ``group``, estimated and scored as one batch."""
-    probs = born_probabilities(povm, rho)
-    draws = [(sample_counts(probs, n, trial_rng(cfg.seed, i, t)),
+    ``group``, estimated and scored as one batch. The probabilities are
+    validated once; each trial's counts are :func:`sample_counts`'s draw."""
+    probs = check_probability_vector(born_probabilities(povm, rho))
+    draws = [(_draw_counts(probs, n, trial_rng(cfg.seed, i, t)),
               trial_rng(cfg.seed, i, t, stream=1) if cfg.n_boot else None)
              for i, n, t in group]
     return _trials(rho, povm, draws, cfg.mle, cfg.n_boot)
@@ -286,23 +299,25 @@ def run_sweep(cfg: SweepConfig, povm: Povm, workers: int = 1) -> SweepResult:
     per_group = max(1, _REPLICA_BLOCK // (1 + cfg.n_boot))
     k = max(workers, -(-len(items) // per_group))   # number of groups
     groups = [items[g * len(items) // k:(g + 1) * len(items) // k] for g in range(k)]
-    rows, outcomes, fallbacks, done = [], dict.fromkeys(OUTCOMES, 0), 0, 0
+    rows, outcomes, fallbacks, evaluations, done = [], dict.fromkeys(OUTCOMES, 0), 0, 0, 0
     try:
         with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
             # the built POVM and state travel to the workers with each group, unvalidated
-            for values, spread, tally, fell_back in (pool.map if pool else map)(
+            for values, spread, tally, fell_back, evaluated in (pool.map if pool else map)(
                     partial(_sweep_rows, povm, rho, cfg), groups):
                 boots = spread.tolist() if cfg.n_boot else [[np.nan] * 5] * len(values)
                 rows += [(float(n), float(t), value, *boot) for (_, n, t), value, boot
                          in zip(groups[done], values.tolist(), boots)]
                 outcomes = {name: outcomes[name] + tally[name] for name in OUTCOMES}
                 fallbacks += fell_back
+                evaluations += evaluated
                 done += 1
     except Exception as exc:
         failed = ", ".join(map(str, sorted({n for _, n, _ in groups[done]})))
         raise SweepError(f"sweep aborted: trials with N={failed} failed: {exc}",
-                         partial=SweepResult(tuple(rows), outcomes, fallbacks, workers)) from exc
-    return SweepResult(tuple(rows), outcomes, fallbacks, workers)
+                         partial=SweepResult(tuple(rows), outcomes, fallbacks, evaluations,
+                                             workers)) from exc
+    return SweepResult(tuple(rows), outcomes, fallbacks, evaluations, workers)
 
 
 def expected_infidelity_floor(rho: DensityMatrix, povm: Povm) -> float:

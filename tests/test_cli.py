@@ -11,7 +11,7 @@ import pytest
 
 from conftest import dft_columns
 from pointtomo.assets import U7_NAME, asset_text, format_matrix_text
-from pointtomo import cli
+from pointtomo import cli, estimator
 from pointtomo import povm as povm_module
 from pointtomo.cli import main
 from pointtomo.fisher import asymptotic_infidelity_coefficient
@@ -94,11 +94,13 @@ class TestSimulateCommand:
         runs = {
             "simulate": (["simulate", "--theta", "0.01", "--n-grid", "50,100", "--reps", "2",
                           "--seed", "4", "--workers", "1"],
-                         {"rows", "workers", "stage_s", "fallback_rows", *OUTCOMES},
+                         {"rows", "workers", "stage_s", "fallback_rows", "objective_rows",
+                          *OUTCOMES},
                          {"sweep", "write"}),
             "bootstrap": (["bootstrap", "--counts", "40,30,20,5,3,1,1", "--theta", "0.01",
                            "--seed", "4", "--boot", "10"],
-                          {"resampling", "workers", "stage_s", "fallback_rows", *OUTCOMES},
+                          {"resampling", "workers", "stage_s", "fallback_rows",
+                           "objective_rows", *OUTCOMES},
                           {"estimate", "write"}),
             "fisher": (["fisher", "--haar-baseline", "100"], {"workers", "stage_s"},
                        {"haar", "write"}),
@@ -239,6 +241,32 @@ class TestSimulateCommand:
         meta = json.loads(out.with_suffix(".meta.json").read_text())
         assert meta["fallback_rows"] == 5 and not any(meta[name] for name in OUTCOMES)
         assert capsys.readouterr().err == ""
+
+    def test_sidecars_count_objective_rows(self, tmp_path, monkeypatch):
+        # a small plateau sweep and a bootstrap: the key is the number of rows
+        # the estimator's objective evaluated, counted here by a wrapper
+        evaluated = []
+        objective = estimator._neg_log_likelihood
+
+        def counting(effects):
+            inner = objective(effects)
+
+            def wrapped(x, weights):
+                evaluated.append(len(x))
+                return inner(x, weights)
+            return wrapped
+
+        monkeypatch.setattr(estimator, "_neg_log_likelihood", counting)
+        out = tmp_path / "s.csv"
+        for argv in (("simulate", "--theta", "0.2", "--lambda", "0.987", "--n-grid",
+                      "100,10000", "--reps", "2", "--boot", "10", "--seed", "3", "--workers", "1"),
+                     ("bootstrap", "--theta", "0.2", "--lambda", "0.987", "--n", "100",
+                      "--boot", "10", "--seed", "3")):
+            evaluated.clear()
+            assert run_cli(*argv, "--out", str(out)) == 0
+            meta = json.loads(out.with_suffix(".meta.json").read_text())
+            assert meta["objective_rows"] == sum(evaluated) > 0, argv[0]
+        assert "objective_rows" not in OUTCOMES
 
     def test_pinned_estimates_print_one_stderr_line(self, tmp_path, capsys):
         # N=100 and 1000 at theta=0.2, lambda=0.987: replicas end on the bound;

@@ -18,10 +18,10 @@ from pointtomo.states import (born_probabilities, depolarize, equal_deviation_st
 
 @dataclass(frozen=True)
 class ShortDescent(MleConfig):
-    """Six steps per descent: some linearized starts stop unconverged inside
+    """Four steps per descent: some refined starts stop unconverged inside
     the chart box."""
 
-    max_iterations: ClassVar[int] = 6
+    max_iterations: ClassVar[int] = 4
 
 
 def exact_frequencies(povm, theta):
@@ -128,21 +128,20 @@ def newton_inputs(rng, eigenvalues):
 
 def full_search(effects, counts, cfg):
     """One row's estimate by the search of every start that a fallback row
-    runs: the zero, linearized and random starts descend together, and the
+    runs: the zero, refined and random starts descend together, and the
     pick is the best value, then the tied point closest to the fiducial,
     first in start order. Returns (theta, log-likelihood, candidates, tied
     candidates, converged, at-bound): the reference for the rows that fall
     back."""
     m = effects.shape[1] - 1
     weights = (counts / counts.sum())[None, :]
-    linearized = np.clip(estimator._linearized_theta(effects, weights), -cfg.chart_bound,
-                         cfg.chart_bound)
+    refined = estimator._refined_start(effects, weights)
     u = np.random.default_rng(np.random.SeedSequence(cfg.seed)).uniform(size=(cfg.starts, 2, m))
     t = cfg.start_radius * np.sqrt(u[:, 0]) * np.exp(1j * (2.0 * np.pi * u[:, 1]))
-    starts = np.vstack([np.zeros((1, 2 * m)), linearized,
+    starts = np.vstack([np.zeros((1, 2 * m)), refined,
                         np.concatenate([t.real, t.imag], axis=1)])
-    f, x, ok = estimator._descend(_neg_log_likelihood(effects), starts,
-                                  np.repeat(weights, len(starts), axis=0), cfg)
+    f, x, ok, _ = estimator._descend(_neg_log_likelihood(effects), starts,
+                                     np.repeat(weights, len(starts), axis=0), cfg)
     best = f.min()
     tied = f <= best + 50.0 * cfg.tolerance * max(1.0, abs(best))
     pick = np.where(tied, (x[:, None, :] @ x[:, :, None])[:, 0, 0], np.inf).argmin()
@@ -378,8 +377,8 @@ class TestStartPolicy:
         cfg = MleConfig()
         res = estimate_theta(pinned_probabilities(family_povm), family_povm)
         assert res.n_candidates == len(runs) == 2 + cfg.starts
-        best = min(f for f, _, _ in runs)
-        tied = [x for f, x, _ in runs if f <= best + 50.0 * cfg.tolerance * max(1.0, abs(best))]
+        best = min(f for f, _, _, _ in runs)
+        tied = [x for f, x, _, _ in runs if f <= best + 50.0 * cfg.tolerance * max(1.0, abs(best))]
         assert 1 < res.n_tied == len(tied)
         closest = min(tied, key=lambda x: float(x @ x))
         assert np.array_equal(np.concatenate([res.theta.real, res.theta.imag]), closest)
@@ -397,6 +396,37 @@ class TestStartPolicy:
                 assert res.n_candidates == 1 and res.converged and not res.at_bound, (n, t)
 
 
+class TestRefinedStart:
+    def test_chord_passes_close_in_on_an_in_model_truth(self, family_povm):
+        # exact frequencies of the theta = 0.2 pure state, chart coordinates
+        # sqrt(0.2) ~ 0.45: the first-order inversion lands ~0.25 away
+        truth = np.concatenate([np.full(3, np.sqrt(0.2)), np.zeros(3)])
+        freqs = pure_probabilities(family_povm.effects, equal_deviation_state(0.2).amps)[None, :]
+        # the first-order inversion, by the pseudo-inverse of the linear terms
+        effects = family_povm.effects
+        a0, conj = effects[:, 0].real, effects[:, 1:].conj()
+        design = 2.0 * a0[:, None] * np.concatenate([conj.real, -conj.imag], axis=1)
+        bound = MleConfig.chart_bound
+        first_order = np.clip(np.linalg.pinv(design) @ (freqs[0] - a0 ** 2), -bound, bound)
+        refined = estimator._refined_start(family_povm.effects, freqs)[0]
+        assert np.linalg.norm(refined - truth) <= 1e-2 * np.linalg.norm(first_order - truth)
+
+    def test_a_row_starts_alike_in_any_stack(self, family_povm):
+        # N = 100 and 10^4 off-model frequencies, some of whose starts end on
+        # the bound: each row of the stack has the bits of that row alone
+        rho = depolarize(equal_deviation_state(0.2), 0.987)
+        counts = np.concatenate([np.random.default_rng(62).multinomial(
+            n, born_probabilities(family_povm, rho), size=20) for n in (100, 10_000)])
+        freqs = counts / counts.sum(axis=1, keepdims=True)
+        whole = estimator._refined_start(family_povm.effects, freqs)
+        assert estimator.on_chart_bound(whole).any() and not estimator.on_chart_bound(whole).all()
+        for row, f in enumerate(freqs):
+            assert np.array_equal(estimator._refined_start(family_povm.effects, f[None, :])[0],
+                                  whole[row]), row
+        assert np.array_equal(estimator._refined_start(family_povm.effects, freqs[5:27]),
+                              whole[5:27])
+
+
 class TestEstimateRows:
     def test_columns_are_estimate_theta_per_row_in_any_stack(self, family_povm):
         # N = 100 off-model counts: some rows retry with random starts, some end
@@ -406,7 +436,7 @@ class TestEstimateRows:
             100, born_probabilities(family_povm, rho), size=24).astype(float)
         cfg = MleConfig()
         whole = estimator._estimate_rows(family_povm.effects, counts, cfg)
-        assert [len(column) for column in whole] == [24] * 7
+        assert [len(column) for column in whole] == [24] * 8
         assert whole[2].max() == 2 + cfg.starts and whole[5].any()
         order = np.random.default_rng(61).permutation(24)
         for got, want in zip(estimator._estimate_rows(family_povm.effects, counts[order], cfg),
@@ -420,28 +450,28 @@ class TestEstimateRows:
             res = estimate_theta(c, family_povm, cfg)
             assert np.array_equal(res.theta, whole[0][row])
             assert (res.log_likelihood, res.n_candidates, res.n_tied, res.converged,
-                    res.at_bound) == tuple(column[row].item() for column in whole[1:6])
-            assert np.array_equal(res.state.amps, whole[6][row])
+                    res.at_bound, res.objective_rows) == \
+                tuple(column[row].item() for column in whole[1:7])
+            assert np.array_equal(res.state.amps, whole[7][row])
             assert np.array_equal(res.state.amps, neighborhood_state(res.theta).amps)
 
     @pytest.mark.parametrize("cfg", [MleConfig(), ShortDescent()],
                              ids=["default", "short-descent"])
     def test_fallback_rows_run_the_full_search_bit_for_bit(self, family_povm, cfg):
-        # the stack above: a row whose linearized start ends off the bound and
+        # the stack above: a row whose refined start ends off the bound and
         # converged is decided there; every other row runs the search of all
         # its starts and ends where that search ends, bit for bit. Only the
-        # short descents leave linearized starts unconverged off the bound,
+        # short descents leave refined starts unconverged off the bound,
         # rows that search as a pinned row does
         rho = depolarize(equal_deviation_state(0.2), 0.987)
         counts = np.random.default_rng(60).multinomial(
             100, born_probabilities(family_povm, rho), size=24).astype(float)
-        theta, loglik, n_candidates, n_tied, converged, at_bound, _ = \
+        theta, loglik, n_candidates, n_tied, converged, at_bound, _, _ = \
             estimator._estimate_rows(family_povm.effects, counts, cfg)
         weights = counts / counts.sum(axis=1, keepdims=True)
-        linearized = np.clip(estimator._linearized_theta(family_povm.effects, weights),
-                             -cfg.chart_bound, cfg.chart_bound)
-        _, lin_x, lin_ok = estimator._descend(_neg_log_likelihood(family_povm.effects),
-                                              linearized, weights, cfg)
+        refined = estimator._refined_start(family_povm.effects, weights)
+        _, lin_x, lin_ok, _ = estimator._descend(_neg_log_likelihood(family_povm.effects),
+                                                 refined, weights, cfg)
         pinned = estimator.on_chart_bound(lin_x)
         fallback = ~lin_ok | pinned
         assert 0 < np.count_nonzero(fallback) < len(counts)
@@ -523,7 +553,7 @@ class TestBootstrap:
             res = bootstrap_infidelity(counts, family_povm, rho, 30, np.random.default_rng(32))
         # one batch of columns, one entry per row: the point estimate of the
         # counts themselves, then the replicas
-        (theta, _, n_candidates, _, converged, at_bound, _), = batches
+        (theta, _, n_candidates, _, converged, at_bound, _, _), = batches
         assert len(theta) == 31
         assert np.array_equal(theta[0], estimate_theta(counts, family_povm).theta)
         draws = np.random.default_rng(32)
