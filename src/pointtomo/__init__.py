@@ -3,7 +3,21 @@ simulation, and local maximum-likelihood state estimation for qudits."""
 
 __version__ = "0.1.0"
 
+import os as _os
+import sys as _sys
 from types import ModuleType as _ModuleType
+
+# OpenBLAS sizes its thread pool once, when numpy loads it, and a second thread
+# spins through the first ~0.1 s of the process. Every matrix the package hands
+# to BLAS or LAPACK is at most 7x7, so the numpy loaded here runs one thread.
+# A user's own setting wins, a numpy imported before pointtomo keeps its pool,
+# and the variable is removed again, so subprocesses inherit nothing.
+if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .errors import (ConsistencyError, DegenerateInput, InvalidInput,
                      NumericalError, PointTomoError, SweepError)

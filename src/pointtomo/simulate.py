@@ -19,7 +19,7 @@ case of the same path, on those counts.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import concurrent.futures
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -61,7 +61,7 @@ class NoiseConfig:
     lam: float = 1.0
 
     def __post_init__(self):
-        check_in_range(self.lam, 0.0, 1.0, "lam")
+        check_in_range(self.lam, 0.0, 1.0, "depolarizing weight")
 
 
 @dataclass(frozen=True)
@@ -301,7 +301,9 @@ def run_sweep(cfg: SweepConfig, povm: Povm, workers: int = 1) -> SweepResult:
     groups = [items[g * len(items) // k:(g + 1) * len(items) // k] for g in range(k)]
     rows, outcomes, fallbacks, evaluations, done = [], dict.fromkeys(OUTCOMES, 0), 0, 0, 0
     try:
-        with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        # reached through the package, so that multiprocessing loads only when a pool starts
+        with (concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1
+              else nullcontext()) as pool:
             # the built POVM and state travel to the workers with each group, unvalidated
             for values, spread, tally, fell_back, evaluated in (pool.map if pool else map)(
                     partial(_sweep_rows, povm, rho, cfg), groups):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, InvalidInput
-from .validation import check_local_parameters, check_square_matrix
+from .validation import check_in_range, check_local_parameters, check_square_matrix
 
 NORM_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
@@ -105,9 +105,7 @@ def equal_deviation_state(theta_scalar: float, dim: int = 4) -> StateVector:
 
 def depolarize(psi: StateVector, lam: float) -> DensityMatrix:
     """White-noise state lam * |psi><psi| + (1 - lam) * I / d."""
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise InvalidInput(f"depolarizing weight must lie in [0, 1], got {lam}")
+    lam = check_in_range(lam, 0.0, 1.0, "depolarizing weight")
     d = psi.dim
     mat = lam * psi.projector() + (1.0 - lam) * np.eye(d) / d
     # symmetrize away rounding residue so the invariants hold exactly

@@ -96,7 +96,7 @@ class TestSimulateCommand:
                           "--seed", "4", "--workers", "1"],
                          {"rows", "workers", "stage_s", "fallback_rows", "objective_rows",
                           *OUTCOMES},
-                         {"sweep", "write"}),
+                         {"povm", "sweep", "write"}),
             "bootstrap": (["bootstrap", "--counts", "40,30,20,5,3,1,1", "--theta", "0.01",
                            "--seed", "4", "--boot", "10"],
                           {"resampling", "workers", "stage_s", "fallback_rows",
@@ -307,7 +307,7 @@ class TestSimulateCommand:
             assert run_cli(*sim, "--workers", str(workers), "--out", str(out)) == 0
             meta = json.loads(out.with_suffix(".meta.json").read_text())
             assert meta["workers"] == min(workers, 2)
-            assert set(meta["stage_s"]) == {"sweep", "write"}
+            assert set(meta["stage_s"]) == {"povm", "sweep", "write"}
             assert all(s >= 0 for s in meta["stage_s"].values())
             tables.append(out.read_bytes())
             hashes.append(meta["config_hash"])
@@ -385,6 +385,13 @@ class TestSimulateCommand:
                        "--epsilon", "-1") == 2
         assert capsys.readouterr().err == \
             "configuration error: epsilon must be finite and >= 0, got -1.0\n"
+
+    @pytest.mark.parametrize("command", [("simulate", "--n-grid", "100", "--workers", "1"),
+                                         ("bootstrap", "--n", "100")])
+    def test_depolarizing_weight_has_one_message(self, capsys, command):
+        assert run_cli(*command, "--theta", "0.01", "--seed", "1", "--lambda", "1.5") == 2
+        assert capsys.readouterr().err == \
+            "configuration error: depolarizing weight must lie in [0.0, 1.0], got 1.5\n"
 
     def test_plot_output(self, tmp_path):
         out, svg = tmp_path / "s.csv", tmp_path / "s.svg"

@@ -14,9 +14,11 @@ from pathlib import Path
 from types import ModuleType
 
 import numpy as np
+import pytest
 
 import pointtomo
 from pointtomo import cli, estimator, povm, simulate
+from pointtomo.povm import available_cores
 from pointtomo.simulate import SweepConfig
 
 
@@ -42,23 +44,62 @@ def test_readme_library_example_runs(capsys):
     assert round(float(c_norm), 4) == 0.6276
 
 
+# the variables OpenBLAS reads its thread count from, in its order of precedence
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_fresh(script: str, cwd=None, **env) -> str:
+    """Run ``script`` in a fresh interpreter that imports pointtomo from this
+    checkout, with no BLAS thread variable set unless ``env`` sets one; asserts
+    that it exits 0 and returns its stdout."""
+    src = os.path.dirname(os.path.dirname(pointtomo.__file__))
+    full = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    full["PYTHONPATH"] = os.pathsep.join(filter(None, [src, full.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], cwd=cwd, env={**full, **env},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_runs_load_no_scipy(tmp_path):
     # scipy is no dependency: importing the command line and running a small
     # sweep and a design must not load it
-    script = (
-        "import sys\n"
-        "from pointtomo.cli import main\n"
-        "assert main(['simulate', '--theta', '0.01', '--n-grid', '100', '--seed', '1',"
-        " '--epsilon', '0.05', '--workers', '1', '--out', 'sweep.csv']) == 0\n"
-        "assert main(['design', '--out', 'design.csv']) == 0\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "assert not loaded, loaded\n")
-    src = os.path.dirname(os.path.dirname(pointtomo.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    run_fresh("import sys\n"
+              "from pointtomo.cli import main\n"
+              "assert main(['simulate', '--theta', '0.01', '--n-grid', '100', '--seed', '1',"
+              " '--epsilon', '0.05', '--workers', '1', '--out', 'sweep.csv']) == 0\n"
+              "assert main(['design', '--out', 'design.csv']) == 0\n"
+              "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+              "assert not loaded, loaded\n", cwd=tmp_path)
+
+
+def test_command_line_loads_no_process_pool():
+    # multiprocessing loads when a sweep starts a pool, not with the command line
+    run_fresh("import sys\n"
+              "import pointtomo.cli\n"
+              "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'"
+              " or m == 'concurrent.futures.process')\n"
+              "assert not loaded, loaded\n")
+
+
+@pytest.mark.parametrize("first, env, capped", [
+    ("", {}, True),                                   # pointtomo loads numpy
+    ("", {"OPENBLAS_NUM_THREADS": "2"}, False),       # the user's own setting
+    ("import numpy\n", {}, False),                    # numpy loaded before pointtomo
+], ids=["unset", "user-set", "numpy-first"])
+def test_import_caps_only_the_numpy_it_loads(first, env, capped):
+    # importing pointtomo leaves the environment as it was in every order; where
+    # it loads numpy itself, OpenBLAS runs no thread beside the main one
+    threads = int(run_fresh(
+        f"import os\nbefore = dict(os.environ)\n{first}import pointtomo\n"
+        "assert dict(os.environ) == before, set(os.environ.items()) ^ set(before.items())\n"
+        "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 0)\n",
+        **env))
+    if threads:                                # /proc lists the process's threads
+        if capped:
+            assert threads == 1
+        elif available_cores() >= 2:           # uncapped, OpenBLAS adds a thread per core
+            assert threads > 1
 
 
 def count_calls(monkeypatch, module, name):

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -53,7 +55,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
 
