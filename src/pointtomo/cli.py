@@ -26,7 +26,7 @@ from .fisher import (NORM_KINDS, asymptotic_infidelity_coefficient, c_matrix, c_
 from .io import atomic_write_text, config_hash, read_sweep_table, sweep_table_text
 from .plotting import sweep_plot_svg
 from .povm import (available_cores, effects_from_family, enumerate_families,
-                   haar_mean_c_norm, haar_workers, load_device, optimize_phases)
+                   haar_mean_c_norm, load_device, optimize_phases)
 from .simulate import (NoiseConfig, SweepConfig, bootstrap_infidelity, check_theta_scalar,
                        expected_infidelity_floor, perturb_effects, prepared_state, run_sweep,
                        sample_counts, trial_rng)
@@ -178,7 +178,7 @@ def cmd_fisher(args) -> int:
         start = time.perf_counter()
         mean, err = haar_mean_c_norm(povm.dim, povm.n_outcomes, args.haar_baseline, rng,
                                      kind=args.norm)
-        extra = {"workers": haar_workers(args.haar_baseline),
+        extra = {"workers": 1,
                  "stage_s": {"haar": time.perf_counter() - start}}
         out.append(f"Haar baseline <||C||> over {args.haar_baseline} samples: "
                    f"{mean:.4f} +/- {err:.4f}")

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -28,8 +26,8 @@ from .fisher import COMPLETENESS_TOL, _c_gram, _norm_ord, matrix_norm
 from .validation import check_square_matrix
 
 GAUGE_FLOOR = 1e-12
-# Haar samples per stacked QR, and per task of the baseline's thread pool; it divides
-# none of 100, 1,000 and 10,000, so the last block of those sample counts is partial
+# Haar samples per block of the baseline's array arithmetic; it divides none of 100,
+# 1,000 and 10,000, so the last block of those sample counts is partial
 HAAR_BLOCK = 512
 
 
@@ -202,22 +200,15 @@ def _ginibre(n: int, count: int, rng, columns: int) -> np.ndarray:
     return rng.standard_normal((count, 2, n, n))[..., :columns]
 
 
-def _haar_columns(g: np.ndarray) -> np.ndarray:
-    """The leading columns of Haar unitaries from Ginibre draws :func:`_ginibre`
-    made, by a phase-corrected QR. The first columns of Q depend only on the
-    first columns of the Ginibre matrix, so only those are factored."""
-    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[:, None, :]
-
-
 def haar_random_povm(dim: int, n_outcomes: int, rng) -> Povm:
     """Random complete rank-1 POVM from the first ``dim`` columns of a Haar unitary."""
     if n_outcomes < dim:
         raise InvalidInput("need n_outcomes >= dim for completeness")
-    # every column factored, as the per-sample reference draw does, so the two agree bit for bit
-    columns = _haar_columns(_ginibre(n_outcomes, 1, rng, n_outcomes))
-    return Povm(gauge_fix_effects(columns[0, :, :dim]))
+    # one per-sample Ginibre draw, its QR phase-corrected so that R's diagonal is positive
+    re, im = rng.standard_normal((2, n_outcomes, n_outcomes))
+    q, r = np.linalg.qr((re + 1j * im) / np.sqrt(2.0))
+    diag = np.diagonal(r)
+    return Povm(gauge_fix_effects((q * (diag / np.abs(diag)))[:, :dim]))
 
 
 def available_cores() -> int:
@@ -229,14 +220,26 @@ def available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def haar_workers(samples: int) -> int:
-    """Threads :func:`haar_mean_c_norm` factors ``samples`` draws on: one per
-    available core, and no more than there are blocks."""
-    return min(available_cores(), -(-samples // HAAR_BLOCK))
+def _block_norms(g: np.ndarray, frobenius: bool) -> np.ndarray:
+    """C norms of the Haar POVMs whose leading columns are the :func:`_ginibre` draws ``g``.
 
-
-def _block_norms(g: np.ndarray, order, out: np.ndarray) -> None:
-    out[:] = np.linalg.norm(_c_gram(_haar_columns(g)), order, axis=(-2, -1))
+    Classical Gram-Schmidt with a second pass (CGS2), on complex columns with
+    the sample axis last, gives the QR whose R has a real positive diagonal:
+    the phase-corrected Haar QR, unchanged by the draws' scale. C = B^T B of
+    columns 1..; its spectral norm is sqrt(lambda_max(C^H C)).
+    """
+    q = np.ascontiguousarray((g[:, 0] + 1j * g[:, 1]).transpose(2, 1, 0))   # (columns, n, count)
+    for k in range(len(q)):
+        v = q[k]
+        for _ in range(2 if k else 0):   # <q_j, v> for each earlier column j, one subtraction
+            v = v - (q[:k] * (q[:k].conj() * v).sum(axis=1, keepdims=True)).sum(axis=0)
+        q[k] = v / np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=0))
+    b = q[1:]
+    c = (b[:, None] * b[None]).sum(axis=2)   # (d-1, d-1, count)
+    if frobenius:
+        return np.sqrt((c.real ** 2 + c.imag ** 2).sum(axis=(0, 1)))
+    chc = (c.conj()[:, :, None] * c[:, None]).sum(axis=0)   # C is symmetric: C^H = conj(C)
+    return np.sqrt(np.linalg.eigvalsh(chc.transpose(2, 0, 1))[:, -1])
 
 
 def haar_mean_c_norm(dim: int, n_outcomes: int, samples: int, rng,
@@ -247,26 +250,15 @@ def haar_mean_c_norm(dim: int, n_outcomes: int, samples: int, rng,
     leading-coefficient phase gauge is applied; this is the published
     baseline convention for random measurements. Samples are drawn in
     stacks of ``HAAR_BLOCK`` and consume ``rng`` exactly as ``samples``
-    successive per-sample Ginibre draws and QR factorizations would.
-
-    The calling thread draws every block in turn; a pool of
-    :func:`haar_workers` threads, which lives only for this call, factors
-    them and takes their norms, with at most two blocks per thread in
-    flight. Each matrix goes through the same LAPACK call as in a serial
-    loop, so the result does not depend on the thread count.
+    successive per-sample Ginibre draws would. The calling thread norms
+    each block as a whole (:func:`_block_norms`), in agreement with a
+    per-sample LAPACK QR and norm to rounding.
     """
     if samples < 100:
         raise InvalidInput("need at least 100 samples for a stable baseline")
-    order = _norm_ord(kind)
+    frobenius = _norm_ord(kind) == "fro"
     vals = np.empty(samples)
-    workers = haar_workers(samples)
-    in_flight = deque()
-    with ThreadPoolExecutor(workers) as pool:
-        for start in range(0, samples, HAAR_BLOCK):
-            g = _ginibre(n_outcomes, min(HAAR_BLOCK, samples - start), rng, dim)
-            in_flight.append(pool.submit(_block_norms, g, order, vals[start:start + len(g)]))
-            if len(in_flight) == 2 * workers:
-                in_flight.popleft().result()
-        for block in in_flight:
-            block.result()
+    for start in range(0, samples, HAAR_BLOCK):
+        g = _ginibre(n_outcomes, min(HAAR_BLOCK, samples - start), rng, dim)
+        vals[start:start + len(g)] = _block_norms(g, frobenius)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(samples))

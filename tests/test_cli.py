@@ -12,7 +12,6 @@ import pytest
 from conftest import dft_columns
 from pointtomo.assets import U7_NAME, asset_text, format_matrix_text
 from pointtomo import cli, estimator
-from pointtomo import povm as povm_module
 from pointtomo.cli import main
 from pointtomo.fisher import asymptotic_infidelity_coefficient
 from pointtomo.io import atomic_write_text, read_sweep_table, sweep_table_text
@@ -481,17 +480,16 @@ class TestOtherCommands:
         assert "tr(I J^-1): 3.0000000" in out
         assert "Haar baseline" in out
 
-    def test_fisher_sidecar_records_the_haar_pool(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(povm_module, "available_cores", lambda: 3)
+    def test_fisher_sidecar_records_the_haar_pool(self, tmp_path, capsys):
         out = tmp_path / "f.txt"
-        # three blocks of Haar samples, one per thread
+        # three blocks of Haar samples, all in the calling thread
         assert run_cli("fisher", "--haar-baseline", str(2 * HAAR_BLOCK + 1), "--out",
                        str(out)) == 0
         assert capsys.readouterr().out == out.read_text()
         meta = json.loads((tmp_path / "f.meta.json").read_text())
-        assert meta["workers"] == 3
+        assert meta["workers"] == 1
         assert set(meta["stage_s"]) == {"haar", "write"} and meta["stage_s"]["haar"] > 0
-        # without a baseline there is no pool to record
+        # without a baseline there is no thread count to record
         assert run_cli("fisher", "--out", str(out)) == 0
         assert {"workers", "stage_s"}.isdisjoint(json.loads((tmp_path / "f.meta.json").read_text()))
 

@@ -74,11 +74,12 @@ def test_runs_load_no_scipy(tmp_path):
 
 
 def test_command_line_loads_no_process_pool():
-    # multiprocessing loads when a sweep starts a pool, not with the command line
+    # multiprocessing loads when a sweep starts a pool, not with the command line;
+    # nothing runs on a thread pool, so neither loads
     run_fresh("import sys\n"
               "import pointtomo.cli\n"
               "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'"
-              " or m == 'concurrent.futures.process')\n"
+              " or m in ('concurrent.futures.process', 'concurrent.futures.thread', 'queue'))\n"
               "assert not loaded, loaded\n")
 
 

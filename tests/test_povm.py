@@ -243,34 +243,61 @@ class TestHaarSampling:
             rng, ref_rng = np.random.default_rng(samples), np.random.default_rng(samples)
             got = haar_mean_c_norm(4, 7, samples, rng, kind=kind)
             want = _reference_mean_c_norm(4, 7, samples, ref_rng, kind)
-            if kind == "spectral":
-                assert got == want
-            else:
-                assert got == pytest.approx(want, rel=1e-15, abs=0)
+            assert got == pytest.approx(want, rel=1e-15, abs=0)
             # the generator is left where the per-sample loop leaves it
             assert rng.standard_normal() == ref_rng.standard_normal()
 
-    @pytest.mark.parametrize("samples", [100, HAAR_BLOCK + 1, 10_000])
+    def test_nearly_dependent_draws_match_per_sample_loop(self):
+        # condition number ~1e8: one Gram-Schmidt pass would lose orthogonality, by 3e-8
+        # in the spectral mean; the second pass keeps the columns orthonormal
+        class NearlyDependent:
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def standard_normal(self, shape):
+                g = self.rng.standard_normal(shape)
+                g[..., 1] = g[..., 0] + 1e-8 * g[..., 1]
+                return g
+
+        for kind in NORM_KINDS:
+            got = haar_mean_c_norm(4, 4, 1000, NearlyDependent(5), kind=kind)
+            want = _reference_mean_c_norm(4, 4, 1000, NearlyDependent(5), kind)
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+    def test_baseline_starts_no_thread(self, monkeypatch):
+        # three blocks, the last one partial, all normed in the calling thread
+        samples, want = 2 * HAAR_BLOCK + 1, {}
+        for kind in NORM_KINDS:
+            want[kind] = haar_mean_c_norm(4, 7, samples, np.random.default_rng(3), kind=kind)
+
+        def refuse(thread):
+            raise RuntimeError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        for kind in NORM_KINDS:
+            assert haar_mean_c_norm(4, 7, samples, np.random.default_rng(3), kind=kind) == want[kind]
+
+    @pytest.mark.parametrize("samples", [100, 513, 10_000])
     def test_baseline_does_not_depend_on_the_thread_count(self, monkeypatch, samples):
+        # the cores the process may use change neither the value nor the generator's end state
         for kind in NORM_KINDS:
             runs = []
             for cores in (1, 3):
                 monkeypatch.setattr(povm_module, "available_cores", lambda: cores)
-                assert povm_module.haar_workers(samples) == min(cores, -(-samples // HAAR_BLOCK))
                 rng = np.random.default_rng(samples)
                 runs.append((haar_mean_c_norm(4, 7, samples, rng, kind=kind),
                              rng.bit_generator.state))
             assert runs[0] == runs[1]
 
     def test_failed_block_propagates_and_leaves_no_thread(self, monkeypatch):
-        qr, calls = np.linalg.qr, itertools.count(1)
+        eigvalsh, calls = np.linalg.eigvalsh, itertools.count(1)
 
-        def qr_failing_on_third_block(a, *args, **kwargs):
+        def eigvalsh_failing_on_third_block(a, *args, **kwargs):
             if next(calls) == 3:
                 raise np.linalg.LinAlgError("third block")
-            return qr(a, *args, **kwargs)
+            return eigvalsh(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "qr", qr_failing_on_third_block)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_failing_on_third_block)
         monkeypatch.setattr(povm_module, "available_cores", lambda: 3)
         before = threading.active_count()
         with pytest.raises(np.linalg.LinAlgError, match="third block"):
